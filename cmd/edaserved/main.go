@@ -1,7 +1,7 @@
 // Command edaserved serves predictions from versioned model artifacts
-// (see internal/model) over HTTP with micro-batching, kernel-row
-// caching, bounded in-flight concurrency, and graceful drain (see
-// internal/serve).
+// (see internal/model) over HTTP with micro-batching, a per-model score
+// memo for repeated inputs, bounded in-flight concurrency, and graceful
+// drain (see internal/serve).
 //
 // Usage:
 //
@@ -54,7 +54,7 @@ var (
 	maxBatch     = flag.Int("max-batch", 16, "micro-batch size cap per model (1 disables batching)")
 	maxWait      = flag.Duration("max-wait", 2*time.Millisecond, "how long an incomplete batch waits for more requests")
 	maxInflight  = flag.Int("max-inflight", 256, "concurrent predict requests before 429 backpressure")
-	cacheRows    = flag.Int("cache-rows", 1024, "kernel-row LRU capacity per kernel model (0 disables)")
+	cacheRows    = flag.Int("cache-rows", 1024, "score-memo capacity (input rows) per exact kernel model (0 disables)")
 	workers      = flag.Int("workers", 0, "worker goroutines for the compute pool (0 = REPRO_WORKERS env or GOMAXPROCS)")
 	drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "deadline for in-flight requests during shutdown")
 	reqTimeout   = flag.Duration("request-timeout", 10*time.Second, "per-request deadline for predict (0 disables)")

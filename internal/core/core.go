@@ -9,8 +9,9 @@
 //     (feature-based learning, Section 5).
 //   - Uniform learner interfaces so applications can swap algorithm
 //     families without touching problem formulation.
-//   - The iterative knowledge-discovery loop of Section 5: mine, present,
-//     evaluate with domain knowledge, adjust, repeat.
+//   - The iterative knowledge-discovery loop of Section 5 (mine, present,
+//     evaluate with domain knowledge, adjust, repeat) lives in
+//     internal/stream, which runs it as an online service.
 //
 // The six packages under internal/apps are problem formulations built on
 // this layer, one per paper figure/table.
@@ -59,41 +60,6 @@ type RegressorFitter func(d *dataset.Dataset) (Regressor, error)
 type NamedRegressor struct {
 	Name string
 	Fit  RegressorFitter
-}
-
-// KDStep is one iteration of the knowledge-discovery loop: it consumes the
-// accumulated evidence, produces human-readable findings, and decides
-// whether another iteration is warranted.
-type KDStep func(iteration int) (findings []string, done bool, err error)
-
-// KDResult records a finished knowledge-discovery run.
-type KDResult struct {
-	Iterations int
-	Findings   [][]string // findings per iteration
-}
-
-// RunKDLoop drives the iterative mining process of paper Section 5 for at
-// most maxIters iterations. Each iteration's findings are retained so that
-// the final report shows how the understanding evolved — the paper's
-// "results from each iteration are evaluated to adjust the mining in the
-// next iteration".
-func RunKDLoop(maxIters int, step KDStep) (*KDResult, error) {
-	if maxIters <= 0 {
-		maxIters = 1
-	}
-	res := &KDResult{}
-	for it := 0; it < maxIters; it++ {
-		findings, done, err := step(it)
-		if err != nil {
-			return nil, fmt.Errorf("core: knowledge-discovery iteration %d: %w", it, err)
-		}
-		res.Findings = append(res.Findings, findings)
-		res.Iterations = it + 1
-		if done {
-			break
-		}
-	}
-	return res, nil
 }
 
 // UsageCheck captures the paper's Section 1 criteria for a worthwhile data

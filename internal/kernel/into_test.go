@@ -67,6 +67,34 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	}
 }
 
+// TestCrossGramIntoSmallBatchLargeBasis pins the cell-count cutover: a
+// batch under gramCutover rows against a large basis crosses
+// crossGramCellCutover and runs on the pool, and must stay bit-identical
+// to the serial sweep at every worker count.
+func TestCrossGramIntoSmallBatchLargeBasis(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	k := RBF{Gamma: 0.2}
+	b := randMatrix(rng, 1024, 6)
+	old := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(old)
+	for _, n := range []int{2, 16, gramCutover - 1} {
+		a := randMatrix(rng, n, 6)
+		parallel.SetWorkers(1)
+		want := nanFill(linalg.NewMatrix(n, b.Rows))
+		CrossGramInto(k, a, b, want)
+		for _, w := range []int{1, 2, 8} {
+			parallel.SetWorkers(w)
+			got := nanFill(linalg.NewMatrix(n, b.Rows))
+			CrossGramInto(k, a, b, got)
+			for i, v := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("workers=%d a.Rows=%d: element %d = %v, serial %v", w, n, i, got.Data[i], v)
+				}
+			}
+		}
+	}
+}
+
 // TestIntoVariantsPanicOnShapeMismatch pins the destination-shape
 // contract: a wrong-shaped destination must panic, never silently
 // truncate.

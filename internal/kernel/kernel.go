@@ -39,6 +39,13 @@ var (
 // Eval calls (all kernels in this package are pure value types).
 const gramCutover = 32
 
+// crossGramCellCutover is the cell count (a.Rows × b.Rows) below which a
+// cross-Gram stays serial. Counting cells rather than rows lets a small
+// serving batch against a large basis — 16 probes × 1024 support
+// vectors — use the pool, while a tall batch against a tiny basis stays
+// serial.
+const crossGramCellCutover = gramCutover * gramCutover
+
 // Kernel measures the similarity of two vector samples.
 type Kernel interface {
 	// Eval returns k(a, b).
@@ -185,19 +192,20 @@ func CrossGram(k Kernel, a, b *linalg.Matrix) *linalg.Matrix {
 // CrossGramInto computes K_ij = k(a_i, b_j) into g, which must be
 // a.Rows × b.Rows. Every cell is written, so a pooled colmat buffer is
 // a valid destination. This is the batch-score hot path: the serial
-// case (one worker or a small batch) runs without a closure, so a
-// steady-state ScoreBatch with pooled buffers performs zero heap
-// allocations. Identical arithmetic to CrossGram at any worker count.
+// case (one worker or fewer than crossGramCellCutover cells) runs
+// without a closure, so a steady-state ScoreBatchInto with pooled
+// buffers performs zero heap allocations. Rows of a are striped across
+// the pool; identical arithmetic to CrossGram at any worker count.
 func CrossGramInto(k Kernel, a, b, g *linalg.Matrix) {
 	if g.Rows != a.Rows || g.Cols != b.Rows {
 		panic(fmt.Sprintf("kernel: CrossGramInto destination is %dx%d, want %dx%d",
 			g.Rows, g.Cols, a.Rows, b.Rows))
 	}
-	if parallel.Workers() <= 1 || a.Rows < gramCutover {
+	if parallel.Workers() <= 1 || a.Rows < 2 || a.Rows*b.Rows < crossGramCellCutover {
 		crossGramRange(k, a, b, g, 0, a.Rows)
 		return
 	}
-	parallel.ForN(a.Rows, gramCutover, func(lo, hi int) {
+	parallel.ForN(a.Rows, 2, func(lo, hi int) {
 		crossGramRange(k, a, b, g, lo, hi)
 	})
 }

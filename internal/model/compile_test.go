@@ -206,9 +206,8 @@ func TestParseApproxSpec(t *testing.T) {
 }
 
 // TestApproxScorerFastPath: the artifact Scorer for a compiled model is
-// the approx path (Dim reports the input width) and KernelExpansion
-// reports false, so the serving layer cannot route a compiled model
-// through the kernel-row cache.
+// the approx path (Dim reports the input width) and scores exactly as
+// the model's own ScoreRow.
 func TestApproxScorerFastPath(t *testing.T) {
 	m := compileFixtures(t)[KindGP]
 	am, err := CompileApprox(m, ApproxSpec{Method: ApproxRFF, Dim: 64, Seed: 3})
@@ -225,9 +224,6 @@ func TestApproxScorerFastPath(t *testing.T) {
 	}
 	if s.Dim() != 4 {
 		t.Errorf("scorer dim %d, want 4", s.Dim())
-	}
-	if _, ok := a.KernelExpansion(); ok {
-		t.Error("compiled model reports a kernel expansion; serve would cache rows for it")
 	}
 	x := []float64{0.1, -0.2, 0.3, 0.4}
 	if math.Float64bits(s.ScoreRow(x)) != math.Float64bits(am.ScoreRow(x)) {

@@ -89,7 +89,7 @@ func TestGoldenArtifactsLoad(t *testing.T) {
 						i, got, exp.Predictions[i])
 				}
 			}
-			batch := scorer.ScoreBatch(probes)
+			batch := scorer.ScoreBatchInto(probes, make([]float64, probes.Rows))
 			for i := range batch {
 				if batch[i] != exp.Predictions[i] {
 					t.Fatalf("probe %d: batch path %v != pinned %v", i, batch[i], exp.Predictions[i])

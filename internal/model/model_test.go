@@ -134,7 +134,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 				}
 			}
 			// The batch path must agree with the serial path bit for bit.
-			batch := gotScorer.ScoreBatch(fx.probes)
+			batch := gotScorer.ScoreBatchInto(fx.probes, make([]float64, fx.probes.Rows))
 			for i := range batch {
 				if batch[i] != gotScorer.ScoreRow(fx.probes.Row(i)) {
 					t.Fatalf("probe %d: batch %v != serial %v", i, batch[i], gotScorer.ScoreRow(fx.probes.Row(i)))

@@ -16,35 +16,20 @@ import (
 // model's primary scalar output for one sample — the predicted class
 // label for SVC / tree / rule-set classifiers, the posterior or fitted
 // mean for GP / ridge regressors, and the signed decision value for the
-// one-class detector (negative = novel). ScoreBatch scores every row of
-// a matrix through the model's amortized batch path and is bit-identical
-// to calling ScoreRow per row.
+// one-class detector (negative = novel).
 type Scorer interface {
 	ScoreRow(x []float64) float64
-	ScoreBatch(x *linalg.Matrix) []float64
-	// ScoreBatchInto is ScoreBatch writing into a caller-provided slice
-	// of length x.Rows (panics on length mismatch) and returning it. It
-	// is the zero-allocation serving path: every model kind routes
-	// through pooled columnar scratch, so a steady-state call allocates
-	// nothing (alloc_test.go pins this at 0 allocs/op).
+	// ScoreBatchInto scores every row of x through the model's amortized
+	// batch path, bit-identical to calling ScoreRow per row, writing into
+	// a caller-provided slice of length x.Rows (panics on length
+	// mismatch) and returning it. It is the zero-allocation serving path:
+	// every model kind routes through pooled columnar scratch, so a
+	// steady-state call allocates nothing (alloc_test.go pins this at
+	// 0 allocs/op).
 	ScoreBatchInto(x *linalg.Matrix, out []float64) []float64
 	// Dim returns the expected input width (0 when the model accepts any
 	// width, e.g. a rule set with no conditions).
 	Dim() int
-}
-
-// KernelExpansion exposes the shared structure of the kernel models —
-// score(x) = combine(k(x, basis_1), …, k(x, basis_m)) — so the serving
-// layer can cache kernel rows across requests and amortize Gram
-// evaluation across a batch. Combine reproduces the model's serial
-// accumulation order exactly, so combining a cached or batch-computed
-// row is bit-identical to the model's own Predict/Decision.
-type KernelExpansion struct {
-	Basis *linalg.Matrix // support vectors / training inputs
-	// Combine folds one kernel row k(x, basis_*) into the final score.
-	Combine func(row []float64) float64
-	// Eval computes one kernel row into dst (len == Basis.Rows).
-	Eval func(x []float64, dst []float64)
 }
 
 // Scorer returns the prediction surface for the artifact's model kind.
@@ -72,65 +57,9 @@ func (a *Artifact) Scorer() (Scorer, error) {
 	}
 }
 
-// KernelExpansion returns the kernel-row structure of the model, or
-// false for the non-kernel kinds (ridge, tree, rule set) and for
-// compiled approx-linear models — a compiled model has no per-basis
-// kernel rows to cache, so the serving layer's kernel-row LRU is
-// skipped entirely.
-func (a *Artifact) KernelExpansion() (*KernelExpansion, bool) {
-	switch m := a.Model.(type) {
-	case *svm.SVC:
-		return &KernelExpansion{
-			Basis: m.SV,
-			Combine: func(row []float64) float64 {
-				s := m.B
-				for j, alpha := range m.Alpha {
-					s += alpha * row[j]
-				}
-				if s >= 0 {
-					return m.Classes()[1]
-				}
-				return m.Classes()[0]
-			},
-			Eval: kernelRowEval(m.K.Eval, m.SV),
-		}, true
-	case *svm.OneClass:
-		return &KernelExpansion{
-			Basis: m.SV,
-			Combine: func(row []float64) float64 {
-				s := -m.Rho
-				for j, alpha := range m.Alpha {
-					s += alpha * row[j]
-				}
-				return s
-			},
-			Eval: kernelRowEval(m.K.Eval, m.SV),
-		}, true
-	case *gp.Regressor:
-		return &KernelExpansion{
-			Basis: m.X,
-			Combine: func(row []float64) float64 {
-				return m.Mean() + linalg.Dot(row, m.Alpha())
-			},
-			Eval: kernelRowEval(m.K.Eval, m.X),
-		}, true
-	default:
-		return nil, false
-	}
-}
-
-func kernelRowEval(eval func(a, b []float64) float64, basis *linalg.Matrix) func(x, dst []float64) {
-	return func(x, dst []float64) {
-		for j := 0; j < basis.Rows; j++ {
-			dst[j] = eval(x, basis.Row(j))
-		}
-	}
-}
-
 type approxScorer struct{ m *ApproxModel }
 
-func (s approxScorer) ScoreRow(x []float64) float64          { return s.m.ScoreRow(x) }
-func (s approxScorer) ScoreBatch(x *linalg.Matrix) []float64 { return s.m.ScoreBatch(x) }
+func (s approxScorer) ScoreRow(x []float64) float64 { return s.m.ScoreRow(x) }
 func (s approxScorer) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 {
 	return s.m.ScoreBatchInto(x, out)
 }
@@ -138,8 +67,7 @@ func (s approxScorer) Dim() int { return s.m.Lin.Map.InputDim() }
 
 type svcScorer struct{ m *svm.SVC }
 
-func (s svcScorer) ScoreRow(x []float64) float64          { return s.m.Predict(x) }
-func (s svcScorer) ScoreBatch(x *linalg.Matrix) []float64 { return s.m.PredictBatch(x) }
+func (s svcScorer) ScoreRow(x []float64) float64 { return s.m.Predict(x) }
 func (s svcScorer) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 {
 	return s.m.PredictBatchInto(x, out)
 }
@@ -147,8 +75,7 @@ func (s svcScorer) Dim() int { return s.m.SV.Cols }
 
 type oneClassScorer struct{ m *svm.OneClass }
 
-func (s oneClassScorer) ScoreRow(x []float64) float64          { return s.m.Decision(x) }
-func (s oneClassScorer) ScoreBatch(x *linalg.Matrix) []float64 { return s.m.DecisionBatch(x) }
+func (s oneClassScorer) ScoreRow(x []float64) float64 { return s.m.Decision(x) }
 func (s oneClassScorer) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 {
 	return s.m.DecisionBatchInto(x, out)
 }
@@ -156,8 +83,7 @@ func (s oneClassScorer) Dim() int { return s.m.SV.Cols }
 
 type ridgeScorer struct{ m *linear.Regression }
 
-func (s ridgeScorer) ScoreRow(x []float64) float64          { return s.m.Predict(x) }
-func (s ridgeScorer) ScoreBatch(x *linalg.Matrix) []float64 { return s.m.PredictBatch(x) }
+func (s ridgeScorer) ScoreRow(x []float64) float64 { return s.m.Predict(x) }
 func (s ridgeScorer) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 {
 	return s.m.PredictBatchInto(x, out)
 }
@@ -165,8 +91,7 @@ func (s ridgeScorer) Dim() int { return len(s.m.W) }
 
 type gpScorer struct{ m *gp.Regressor }
 
-func (s gpScorer) ScoreRow(x []float64) float64          { return s.m.Predict(x) }
-func (s gpScorer) ScoreBatch(x *linalg.Matrix) []float64 { return s.m.PredictBatch(x) }
+func (s gpScorer) ScoreRow(x []float64) float64 { return s.m.Predict(x) }
 func (s gpScorer) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 {
 	return s.m.PredictBatchInto(x, out)
 }
@@ -177,8 +102,7 @@ type treeScorer struct {
 	dim int
 }
 
-func (s treeScorer) ScoreRow(x []float64) float64          { return s.m.Predict(x) }
-func (s treeScorer) ScoreBatch(x *linalg.Matrix) []float64 { return s.m.PredictBatch(x) }
+func (s treeScorer) ScoreRow(x []float64) float64 { return s.m.Predict(x) }
 func (s treeScorer) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 {
 	return s.m.PredictBatchInto(x, out)
 }
@@ -189,8 +113,7 @@ type ruleSetScorer struct {
 	dim int
 }
 
-func (s ruleSetScorer) ScoreRow(x []float64) float64          { return s.m.Predict(x) }
-func (s ruleSetScorer) ScoreBatch(x *linalg.Matrix) []float64 { return s.m.PredictBatch(x) }
+func (s ruleSetScorer) ScoreRow(x []float64) float64 { return s.m.Predict(x) }
 func (s ruleSetScorer) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 {
 	return s.m.PredictBatchInto(x, out)
 }

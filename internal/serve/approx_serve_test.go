@@ -27,11 +27,11 @@ func synthSVC(t *testing.T, gamma float64, seed int64) *svm.SVC {
 	return svm.RestoreSVC(kernel.RBF{Gamma: gamma}, sv, alpha, 0.1, [2]float64{-1, 1})
 }
 
-// TestHotReloadPurgesKernelRows is the stale-cache regression test:
+// TestHotReloadPurgesKernelRows is the stale-memo regression test:
 // after /models/load replaces a model, a prediction for an input whose
-// kernel row was cached under the old model must come from the new
-// model — never from the old rows. The replaced entry's cache is also
-// purged outright once its queue drains.
+// score was memoized under the old model must come from the new model —
+// never from the old memo. The replacement owns a fresh memo, so the old
+// entries are unreachable by construction.
 func TestHotReloadPurgesKernelRows(t *testing.T) {
 	s := New(Config{MaxBatch: 1, CacheRows: 64, DrainTimeout: time.Second})
 	t.Cleanup(s.Close)
@@ -58,13 +58,13 @@ func TestHotReloadPurgesKernelRows(t *testing.T) {
 	}
 	load(mA)
 	oldEntry := s.model("clf")
-	// Prime the cache: this prediction computes and stores k(x, SV_*).
+	// Prime the memo: this prediction computes and stores the score of x.
 	if code, pr := postPredict(t, ts.URL, "clf", [][]float64{x}); code != 200 ||
 		math.Float64bits(pr.Predictions[0]) != math.Float64bits(mA.Predict(x)) {
 		t.Fatalf("priming predict: code %d, got %v want %v", code, pr.Predictions, mA.Predict(x))
 	}
 	if oldEntry.cache.len() == 0 {
-		t.Fatal("priming predict did not populate the kernel-row cache")
+		t.Fatal("priming predict did not populate the score memo")
 	}
 
 	load(mB)
@@ -73,23 +73,14 @@ func TestHotReloadPurgesKernelRows(t *testing.T) {
 		t.Fatalf("post-reload predict: code %d", code)
 	}
 	if got, want := pr.Predictions[0], mB.Predict(x); math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("stale-cache prediction after reload: got %v, want new model's %v (old model says %v)",
+		t.Fatalf("stale-memo prediction after reload: got %v, want new model's %v (old model says %v)",
 			got, want, mA.Predict(x))
-	}
-
-	// The replaced entry's rows are purged once its queue drains.
-	deadline := time.Now().Add(2 * time.Second)
-	for oldEntry.cache.len() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("replaced model's kernel-row cache was never purged")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
 // TestCompiledModelSkipsCache: a compiled approx-linear model must be
-// served through the plain scorer path — no kernel expansion, no row
-// cache — with the approx.* observability reflecting it, and its HTTP
+// served through the plain scorer path — no score memo — with the
+// approx.* observability reflecting it, and its HTTP
 // predictions bit-identical to in-process scoring.
 func TestCompiledModelSkipsCache(t *testing.T) {
 	s := New(Config{MaxBatch: 4, MaxWait: time.Millisecond, CacheRows: 64})
@@ -110,9 +101,8 @@ func TestCompiledModelSkipsCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	sm := s.model("fast")
-	if !sm.compiled || sm.kx != nil || sm.cache != nil {
-		t.Fatalf("compiled model served with compiled=%v kx=%v cache=%v; want true,nil,nil",
-			sm.compiled, sm.kx, sm.cache)
+	if !sm.compiled || sm.cache != nil {
+		t.Fatalf("compiled model served with compiled=%v cache=%v; want true,nil", sm.compiled, sm.cache)
 	}
 	if approxCompiled.Value() < 1 {
 		t.Errorf("approx.compiled_models = %d, want >= 1", approxCompiled.Value())

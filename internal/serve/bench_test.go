@@ -18,7 +18,7 @@ import (
 )
 
 // BenchmarkServeThroughput measures end-to-end HTTP predict throughput
-// (requests routed through the micro-batcher and kernel-row cache) at
+// (requests routed through the micro-batcher, score memo off) at
 // 1, 8, and 64 concurrent clients against the SVC model — the kernel
 // kind whose Gram evaluation batching is meant to amortize. b.N counts
 // single-instance predict requests. scripts/bench.sh records the

@@ -6,15 +6,15 @@ import (
 	"sync"
 )
 
-// rowCache is a bounded LRU over kernel rows: the vector
-// k(x, basis_1..basis_m) a kernel model evaluates for every scored
-// sample. Production query streams repeat inputs (the novelty loop
-// re-scores the same constrained-random tests after each refit), and
-// the kernel row is the whole cost of a kernel-model prediction — the
-// combine step is one dot product. Keys are the raw IEEE-754 bits of
-// the input vector, so only bit-identical inputs hit; kernels are pure
-// functions, so a cached row is bit-identical to recomputing it and the
-// cache can never change a prediction.
+// rowCache is the score memo: a bounded LRU from an input row to the
+// score the model gave it. Production query streams repeat inputs (the
+// novelty loop re-scores the same constrained-random tests after each
+// refit), and a repeated row skips kernel evaluation entirely. Keys are
+// the raw IEEE-754 bits of the input vector, so only bit-identical
+// inputs hit; scoring is a pure function of the row, so a memoized score
+// is bit-identical to recomputing it and the memo can never change a
+// prediction. Each served model owns its memo, so a hot-reload starts
+// from an empty one.
 type rowCache struct {
 	mu  sync.Mutex
 	cap int
@@ -23,12 +23,12 @@ type rowCache struct {
 }
 
 type rowEntry struct {
-	key string
-	row []float64
+	key   string
+	score float64
 }
 
-// newRowCache returns a cache holding up to capacity rows; capacity <= 0
-// returns nil (caching disabled).
+// newRowCache returns a memo holding up to capacity scores; capacity <= 0
+// returns nil (memoization disabled).
 func newRowCache(capacity int) *rowCache {
 	if capacity <= 0 {
 		return nil
@@ -48,24 +48,23 @@ func rowKey(x []float64) string {
 	return string(b)
 }
 
-// get returns the cached row for key and marks it most recently used.
-// The returned slice is shared — callers must not modify it.
-func (c *rowCache) get(key string) ([]float64, bool) {
+// get returns the memoized score for key and marks it most recently used.
+func (c *rowCache) get(key string) (float64, bool) {
 	if c == nil {
-		return nil, false
+		return 0, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[key]
 	if !ok {
-		return nil, false
+		return 0, false
 	}
 	c.ll.MoveToFront(e)
-	return e.Value.(*rowEntry).row, true
+	return e.Value.(*rowEntry).score, true
 }
 
-// put stores a row, evicting the least recently used entry when full.
-func (c *rowCache) put(key string, row []float64) {
+// put stores a score, evicting the least recently used entry when full.
+func (c *rowCache) put(key string, score float64) {
 	if c == nil {
 		return
 	}
@@ -73,10 +72,10 @@ func (c *rowCache) put(key string, row []float64) {
 	defer c.mu.Unlock()
 	if e, ok := c.m[key]; ok {
 		c.ll.MoveToFront(e)
-		e.Value.(*rowEntry).row = row
+		e.Value.(*rowEntry).score = score
 		return
 	}
-	c.m[key] = c.ll.PushFront(&rowEntry{key: key, row: row})
+	c.m[key] = c.ll.PushFront(&rowEntry{key: key, score: score})
 	for c.ll.Len() > c.cap {
 		last := c.ll.Back()
 		c.ll.Remove(last)
@@ -84,21 +83,7 @@ func (c *rowCache) put(key string, row []float64) {
 	}
 }
 
-// purge drops every cached row. Called when the model owning the cache
-// is replaced by a hot-reload: the rows were computed against the old
-// model's kernel and basis, and nothing may ever combine them with the
-// replacement's coefficients.
-func (c *rowCache) purge() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.m = make(map[string]*list.Element, c.cap)
-}
-
-// len returns the number of cached rows.
+// len returns the number of memoized scores.
 func (c *rowCache) len() int {
 	if c == nil {
 		return 0

@@ -13,8 +13,10 @@
 //     concurrent single-sample requests into one scoring call, which
 //     amortizes kernel/Gram evaluation through internal/parallel. Knobs:
 //     max batch size and max queue wait.
-//   - A bounded kernel-row LRU per kernel model (see cache.go) reuses
-//     k(x, SV_*) rows across repeated inputs.
+//   - A bounded score memo per kernel model (see cache.go) answers
+//     repeated inputs without scoring them again. Rows it misses go
+//     through the model's ScoreBatchInto, the package's one scoring
+//     call.
 //   - Bounded in-flight concurrency with priority-aware load shedding:
 //     predict requests declare a priority via the X-Priority header
 //     (low | normal | high) and each tier sheds (429) at its own slice
@@ -58,10 +60,11 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/gp"
 	"repro/internal/linalg"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/parallel"
+	"repro/internal/svm"
 )
 
 // Registry and request metrics. Per-endpoint counters and latency
@@ -75,7 +78,7 @@ var (
 
 	// Compiled approx-linear models (see model.CompileApprox): how many
 	// are currently registered, and how many instances took the O(d)
-	// fast path that skips the kernel expansion and the row LRU.
+	// fast path that skips the kernel expansion and the score memo.
 	approxCompiled = obs.GetGauge("approx.compiled_models")
 	approxFastPath = obs.GetCounter("approx.fast_path_hits")
 
@@ -100,8 +103,9 @@ type Config struct {
 	// requests get 429, lowest priority first (low tier sheds at 50% of
 	// the bound, normal at 90%, high at 100%). Default 256.
 	MaxInFlight int
-	// CacheRows is the kernel-row LRU capacity per kernel model; 0
-	// disables the cache. Default 1024.
+	// CacheRows is the score-memo capacity per exact kernel model (SVC,
+	// one-class, GP): how many input rows keep their score for reuse.
+	// 0 disables the memo. Default 1024.
 	CacheRows int
 	// RequestTimeout is the per-request deadline for predict requests:
 	// the request context (and through it the batcher and kernel eval)
@@ -137,15 +141,14 @@ func (c *Config) defaults() {
 }
 
 // servedModel is one registry entry: the artifact, its scorer, the
-// micro-batching queue in front of it, and the kernel-row cache.
+// micro-batching queue in front of it, and the score memo.
 type servedModel struct {
 	name     string
 	artifact *model.Artifact
 	scorer   model.Scorer
 	batcher  *batcher
-	cache    *rowCache
-	kx       *model.KernelExpansion // nil for non-kernel kinds
-	compiled bool                   // approx-linear payload: O(d) fast path
+	cache    *rowCache // nil unless an exact kernel model with CacheRows > 0
+	compiled bool      // approx-linear payload: O(d) fast path
 }
 
 // Server is the inference server. Create with New, register models with
@@ -189,10 +192,14 @@ func (s *Server) Load(name string, a *model.Artifact) error {
 		return err
 	}
 	sm := &servedModel{name: name, artifact: a, scorer: scorer}
-	_, sm.compiled = a.Model.(*model.ApproxModel)
-	if kx, ok := a.KernelExpansion(); ok {
-		sm.kx = kx
+	switch a.Model.(type) {
+	case *svm.SVC, *svm.OneClass, *gp.Regressor:
+		// Exact kernel models cost O(basis) per row, so a repeated row is
+		// worth remembering; the other kinds score a row for about what
+		// the memo key costs to build.
 		sm.cache = newRowCache(s.cfg.CacheRows)
+	case *model.ApproxModel:
+		sm.compiled = true
 	}
 	sm.batcher = newBatcher(sm.scoreBatch, scorer.Dim(), s.cfg.MaxBatch, s.cfg.MaxWait)
 
@@ -209,15 +216,9 @@ func (s *Server) Load(name string, a *model.Artifact) error {
 	approxCompiled.Set(compiled)
 	s.mu.Unlock()
 	if old != nil {
-		// Drain the replaced model's queue, then drop its cached kernel
-		// rows: they were computed against the old basis and must never
-		// survive the reload (a request still holding the old entry keeps
-		// scoring consistently — the cache only memoizes that model's own
-		// pure kernel — but nothing may hit those rows afterwards).
-		go func() {
-			old.batcher.closeWithin(s.cfg.DrainTimeout)
-			old.cache.purge()
-		}()
+		// The replacement brought its own empty memo, so no score of the
+		// old model can answer for the new one.
+		go old.batcher.closeWithin(s.cfg.DrainTimeout)
 	}
 	return nil
 }
@@ -252,10 +253,11 @@ func (s *Server) model(name string) *servedModel {
 	return s.models[name]
 }
 
-// scoreBatch scores one micro-batch. Kernel models route through the
-// row cache: cached rows are reused, missing rows are evaluated in one
-// parallel sweep, and every score is combined in request order by the
-// model's own serial accumulation — bit-identical to the uncached path.
+// scoreBatch scores one micro-batch through the model's ScoreBatchInto.
+// Exact kernel models consult the score memo first: memoized rows are
+// answered from it, and only the rest are scored, as one smaller batch.
+// That is bit-identical to scoring the whole batch, because a row's score
+// never depends on the rows it is batched with.
 // The fault.SiteKernelEval injection site sits at the front: an
 // injected error fails the batch, an injected delay stalls it under the
 // batch context, so drain and request deadlines stay enforceable.
@@ -271,47 +273,47 @@ func (sm *servedModel) scoreBatch(ctx context.Context, x *linalg.Matrix) ([]floa
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if sm.kx == nil || sm.cache == nil {
-		// The response slice is the only allocation: the scorer's Into
-		// path runs on pooled columnar scratch, so a steady-state batch
-		// costs O(1) allocations regardless of basis size.
-		if sm.compiled {
-			approxFastPath.Add(int64(x.Rows))
-		}
-		return sm.scorer.ScoreBatchInto(x, make([]float64, x.Rows)), nil
-	}
-	n := x.Rows
-	rows := make([][]float64, n)
-	var missIdx []int
-	var hits, misses int64
-	for i := 0; i < n; i++ {
-		if row, ok := sm.cache.get(rowKey(x.Row(i))); ok {
-			rows[i] = row
-			hits++
-		} else {
-			missIdx = append(missIdx, i)
-			misses++
-		}
-	}
-	cacheHits.Add(hits)
-	cacheMisses.Add(misses)
-	if len(missIdx) > 0 {
-		basisRows := sm.kx.Basis.Rows
-		parallel.ForN(len(missIdx), 4, func(lo, hi int) {
-			for m := lo; m < hi; m++ {
-				i := missIdx[m]
-				row := make([]float64, basisRows)
-				sm.kx.Eval(x.Row(i), row)
-				rows[i] = row
+	todo := x // the rows that need scoring
+	var (
+		out  []float64 // with a memo: the response, hits filled in first
+		miss []int     // with a memo: indices of the rows it lacks
+		keys []string  // and their memo keys
+	)
+	if sm.cache != nil {
+		out = make([]float64, x.Rows)
+		for i := range out {
+			key := rowKey(x.Row(i))
+			if v, ok := sm.cache.get(key); ok {
+				out[i] = v
+			} else {
+				miss, keys = append(miss, i), append(keys, key)
 			}
-		})
-		for _, i := range missIdx {
-			sm.cache.put(rowKey(x.Row(i)), rows[i])
+		}
+		cacheHits.Add(int64(x.Rows - len(miss)))
+		cacheMisses.Add(int64(len(miss)))
+		if len(miss) == 0 {
+			return out, nil
+		}
+		if len(miss) < x.Rows {
+			todo = linalg.NewMatrix(len(miss), x.Cols)
+			for m, i := range miss {
+				copy(todo.Row(m), x.Row(i))
+			}
 		}
 	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = sm.kx.Combine(rows[i])
+	if sm.compiled {
+		approxFastPath.Add(int64(x.Rows))
+	}
+	// The response slice is the only allocation on the unmemoized path:
+	// the scorer's Into path runs on pooled columnar scratch, so a
+	// steady-state batch costs O(1) allocations regardless of basis size.
+	scores := sm.scorer.ScoreBatchInto(todo, make([]float64, todo.Rows))
+	if sm.cache == nil {
+		return scores, nil
+	}
+	for m, i := range miss {
+		out[i] = scores[m]
+		sm.cache.put(keys[m], scores[m])
 	}
 	return out, nil
 }
@@ -522,29 +524,37 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "no instances")
 		return
 	}
-	dim := sm.scorer.Dim()
-	for i, inst := range req.Instances {
-		if len(inst) < dim {
-			httpError(w, http.StatusBadRequest,
-				fmt.Sprintf("instance %d has %d features, model %q needs %d", i, len(inst), name, dim))
-			return
-		}
-	}
-
-	// Enqueue every instance, then collect in order. Instances from one
-	// request batch with each other and with concurrent requests.
-	chans := make([]<-chan batchResponse, len(req.Instances))
-	for i, inst := range req.Instances {
-		ch, err := sm.batcher.submit(ctx, inst)
-		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				s.deadline(w, err)
+	var chans []<-chan batchResponse
+	for {
+		dim := sm.scorer.Dim()
+		for i, inst := range req.Instances {
+			if len(inst) < dim {
+				httpError(w, http.StatusBadRequest,
+					fmt.Sprintf("instance %d has %d features, model %q needs %d", i, len(inst), name, dim))
 				return
 			}
-			httpError(w, http.StatusServiceUnavailable, err.Error())
+		}
+		chans, err = sm.submitAll(ctx, req.Instances)
+		// A hot-swap can close this entry's queue between the registry
+		// lookup and the enqueue. Unless the server itself is draining,
+		// resubmit the whole request to the entry that replaced it, so
+		// one response never mixes two models.
+		if !errors.Is(err, ErrDraining) || s.draining.Load() {
+			break
+		}
+		next := s.model(name)
+		if next == nil || next == sm {
+			break
+		}
+		sm = next
+	}
+	if err != nil {
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			s.deadline(w, err)
 			return
 		}
-		chans[i] = ch
+		httpError(w, http.StatusServiceUnavailable, err.Error())
+		return
 	}
 	preds := make([]float64, len(chans))
 	for i, ch := range chans {
@@ -571,6 +581,21 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, predictResponse{
 		Model: name, Kind: string(sm.artifact.Envelope.Kind), Predictions: preds,
 	})
+}
+
+// submitAll enqueues every instance on the entry's batcher and returns
+// the reply channels in request order. Instances from one request batch
+// with each other and with concurrent requests.
+func (sm *servedModel) submitAll(ctx context.Context, instances [][]float64) ([]<-chan batchResponse, error) {
+	chans := make([]<-chan batchResponse, len(instances))
+	for i, inst := range instances {
+		ch, err := sm.batcher.submit(ctx, inst)
+		if err != nil {
+			return nil, err
+		}
+		chans[i] = ch
+	}
+	return chans, nil
 }
 
 // deadline answers 504 for a request whose deadline expired in the

@@ -160,22 +160,23 @@ func TestMultiInstanceRequest(t *testing.T) {
 	}
 }
 
-// TestRowCacheLRU unit-tests the kernel-row cache: hits, misses,
+// TestRowCacheLRU unit-tests the score memo: hits, misses,
 // least-recently-used eviction, and the bit-exact key.
 func TestRowCacheLRU(t *testing.T) {
 	c := newRowCache(2)
 	k1, k2, k3 := rowKey([]float64{1}), rowKey([]float64{2}), rowKey([]float64{3})
-	c.put(k1, []float64{10})
-	c.put(k2, []float64{20})
-	if _, ok := c.get(k1); !ok {
-		t.Fatal("k1 evicted too early")
+	c.put(k1, 10)
+	c.put(k2, 20)
+	if v, ok := c.get(k1); !ok || v != 10 {
+		t.Fatalf("k1 = %v, %v; want 10, true", v, ok)
 	}
-	c.put(k3, []float64{30}) // evicts k2: k1 was touched more recently
+	c.put(k3, 30) // evicts k2: k1 was touched more recently
 	if _, ok := c.get(k2); ok {
 		t.Fatal("k2 should have been evicted (LRU)")
 	}
-	if _, ok := c.get(k1); !ok {
-		t.Fatal("k1 lost")
+	c.put(k1, 11) // overwrite refreshes the score in place
+	if v, ok := c.get(k1); !ok || v != 11 {
+		t.Fatalf("k1 = %v, %v; want 11, true", v, ok)
 	}
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
@@ -191,11 +192,11 @@ func TestRowCacheLRU(t *testing.T) {
 	if _, ok := nilCache.get(k1); ok {
 		t.Fatal("nil cache must miss")
 	}
-	nilCache.put(k1, nil) // must not panic
+	nilCache.put(k1, 1) // must not panic
 }
 
 // TestCacheDoesNotChangePredictions scores the same probes twice: the
-// second pass is served from the cache and must be bit-identical.
+// second pass is served from the score memo and must be bit-identical.
 func TestCacheDoesNotChangePredictions(t *testing.T) {
 	for _, tr := range zoo(t) {
 		if tr.Kind != model.KindSVC {
@@ -212,7 +213,7 @@ func TestCacheDoesNotChangePredictions(t *testing.T) {
 		}
 		sm := s.model("svc")
 		if sm.cache == nil {
-			t.Fatal("kernel model should have a row cache")
+			t.Fatal("kernel model should have a score memo")
 		}
 		first, err := sm.scoreBatch(context.Background(), tr.Probes)
 		if err != nil {
@@ -227,7 +228,7 @@ func TestCacheDoesNotChangePredictions(t *testing.T) {
 		}
 		for i := range first {
 			if first[i] != second[i] || first[i] != tr.Want[i] {
-				t.Fatalf("probe %d: uncached %v, cached %v, want %v", i, first[i], second[i], tr.Want[i])
+				t.Fatalf("probe %d: scored %v, memoized %v, want %v", i, first[i], second[i], tr.Want[i])
 			}
 		}
 	}

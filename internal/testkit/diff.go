@@ -21,10 +21,11 @@ import (
 // offers, one contract. The reference is per-row ScoreRow on the
 // freshly encoded artifact; every other path — batched scoring at
 // several worker counts, the marshal→decode→score persistence round
-// trip, and the in-process HTTP server at two batching configurations —
-// must reproduce it bit for bit. Any disagreement is a determinism bug
-// in a scoring path, not a modelling question, which is why the policy
-// here is always Exact and never a tolerance.
+// trip, and the in-process HTTP server at three configurations (the last
+// is edaserved's shipped flag defaults) — must reproduce it bit for bit.
+// Any disagreement is a determinism bug in a scoring path, not a
+// modelling question, which is why the policy here is always Exact and
+// never a tolerance.
 
 // DiffWorkerCounts are the worker-pool sizes every batch path is
 // exercised at. 1 forces the serial path, 2 exercises striping, 8
@@ -48,9 +49,12 @@ func DiffPaths(m any, probes *linalg.Matrix) error {
 	// Reference: per-row scoring with the worker pool pinned to 1.
 	ref := scoreRows(scorer, probes, 1)
 
-	// Path: ScoreBatch at each worker count.
+	// Path: ScoreBatchInto at each worker count.
+	batch := func(s model.Scorer) func() []float64 {
+		return func() []float64 { return s.ScoreBatchInto(probes, make([]float64, probes.Rows)) }
+	}
 	for _, w := range DiffWorkerCounts {
-		if err := compareAt(ref, func() []float64 { return scorer.ScoreBatch(probes) }, w); err != nil {
+		if err := compareAt(ref, batch(scorer), w); err != nil {
 			return fmt.Errorf("batch path, %d workers: %w", w, err)
 		}
 	}
@@ -72,12 +76,13 @@ func DiffPaths(m any, probes *linalg.Matrix) error {
 		return fmt.Errorf("decoded row path: %w", err)
 	}
 	for _, w := range DiffWorkerCounts {
-		if err := compareAt(ref, func() []float64 { return dscorer.ScoreBatch(probes) }, w); err != nil {
+		if err := compareAt(ref, batch(dscorer), w); err != nil {
 			return fmt.Errorf("decoded batch path, %d workers: %w", w, err)
 		}
 	}
 
-	// Path: in-process HTTP serving, unbatched and micro-batched. JSON
+	// Path: in-process HTTP serving, unbatched, micro-batched, and as
+	// shipped (edaserved's flag defaults, score memo included). JSON
 	// cannot carry ±Inf/NaN, so only all-finite probe rows (with finite
 	// reference scores) ride this path; the non-finite rows are already
 	// covered bitwise by every in-process path above.
@@ -92,13 +97,10 @@ func DiffPaths(m any, probes *linalg.Matrix) error {
 		for _, cfg := range []serve.Config{
 			{MaxBatch: 1},
 			{MaxBatch: 8, MaxWait: time.Millisecond},
+			{MaxBatch: 16, MaxWait: 2 * time.Millisecond, CacheRows: 1024},
 		} {
-			got, err := scoreViaHTTP(art, cfg, sub)
-			if err != nil {
-				return fmt.Errorf("http path (maxBatch=%d): %w", cfg.MaxBatch, err)
-			}
-			if err := Exact.Compare(want, got); err != nil {
-				return fmt.Errorf("http path (maxBatch=%d): %w", cfg.MaxBatch, err)
+			if err := diffViaHTTP(art, cfg, sub, want); err != nil {
+				return fmt.Errorf("http path (maxBatch=%d cacheRows=%d): %w", cfg.MaxBatch, cfg.CacheRows, err)
 			}
 		}
 	}
@@ -250,14 +252,16 @@ func finiteProbeRows(probes *linalg.Matrix, ref []float64) []int {
 	return idx
 }
 
-// scoreViaHTTP loads the artifact into a fresh server, posts all rows
-// as one predict request through httptest, and returns the predictions.
-func scoreViaHTTP(art *model.Artifact, cfg serve.Config, x *linalg.Matrix) ([]float64, error) {
+// diffViaHTTP loads the artifact into a fresh server and posts all rows
+// as one predict request through httptest, twice: when cfg enables the
+// score memo, the second pass is answered from it. Both passes must
+// reproduce want bit for bit.
+func diffViaHTTP(art *model.Artifact, cfg serve.Config, x *linalg.Matrix, want []float64) error {
 	srv := serve.New(cfg)
 	defer srv.Close()
 	const name = "diff"
 	if err := srv.Load(name, art); err != nil {
-		return nil, fmt.Errorf("load: %w", err)
+		return fmt.Errorf("load: %w", err)
 	}
 	instances := make([][]float64, x.Rows)
 	for i := range instances {
@@ -265,19 +269,24 @@ func scoreViaHTTP(art *model.Artifact, cfg serve.Config, x *linalg.Matrix) ([]fl
 	}
 	body, err := json.Marshal(map[string]any{"instances": instances})
 	if err != nil {
-		return nil, fmt.Errorf("marshal request: %w", err)
+		return fmt.Errorf("marshal request: %w", err)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/predict/"+name, bytes.NewReader(body))
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		return nil, fmt.Errorf("status %d: %s", rec.Code, rec.Body.String())
+	for pass := 1; pass <= 2; pass++ {
+		req := httptest.NewRequest(http.MethodPost, "/predict/"+name, bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			return fmt.Errorf("pass %d: status %d: %s", pass, rec.Code, rec.Body.String())
+		}
+		var resp struct {
+			Predictions []float64 `json:"predictions"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			return fmt.Errorf("pass %d: unmarshal response: %w", pass, err)
+		}
+		if err := Exact.Compare(want, resp.Predictions); err != nil {
+			return fmt.Errorf("pass %d: %w", pass, err)
+		}
 	}
-	var resp struct {
-		Predictions []float64 `json:"predictions"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		return nil, fmt.Errorf("unmarshal response: %w", err)
-	}
-	return resp.Predictions, nil
+	return nil
 }

@@ -38,6 +38,14 @@ for w in 1 2 8; do
 	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestClusterChaosStorm' .
 done
 
+# A hot-swap must never answer 503 or mix two models in one response,
+# whichever parallel path the scoring behind the swapped queue takes.
+echo "== hot-swap race at 1/2/8 workers (race) =="
+for w in 1 2 8; do
+	echo "-- REPRO_WORKERS=$w"
+	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestHotSwapRace' ./internal/serve/
+done
+
 # The columnar arena's aliasing property (a buffer re-leased under a
 # different shape never aliases live data) must hold at every pool
 # width; the hammer leases/dirties/returns from every worker.

@@ -5,8 +5,11 @@ package repro_test
 // artifacts the way `edamine -save-model` does, boot the inference
 // server on them, and assert that HTTP predictions are bit-identical to
 // scoring the freshly trained models in-process — through the
-// single-request path (MaxBatch=1) and through the micro-batching path
-// (MaxBatch>1 under concurrency). This is the serving extension of the
+// single-request path (MaxBatch=1), through the micro-batching path
+// (MaxBatch>1 under concurrency), and through edaserved's shipped flag
+// defaults, score memo included. Every lane posts the probes twice, so
+// with a memo the second pass is answered from it. This is the serving
+// extension of the
 // repo-wide determinism contract: batching, caching, HTTP transport,
 // and JSON encoding must change how predictions are delivered, never
 // what they are.
@@ -45,13 +48,15 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// Stage 2: boot the server on the saved artifacts and compare HTTP
-	// predictions against the in-process reference, serial then batched.
+	// predictions against the in-process reference: serial, batched, and
+	// as shipped.
 	for _, tc := range []struct {
 		name string
 		cfg  serve.Config
 	}{
 		{"serial/maxBatch=1", serve.Config{MaxBatch: 1, CacheRows: 0}},
 		{"batched/maxBatch=8", serve.Config{MaxBatch: 8, MaxWait: time.Millisecond, CacheRows: 128}},
+		{"shipped/edaserved-defaults", serve.Config{MaxBatch: 16, MaxWait: 2 * time.Millisecond, CacheRows: 1024}},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,31 +80,33 @@ func TestServeEndToEnd(t *testing.T) {
 				tr := tr
 				t.Run(string(tr.Kind), func(t *testing.T) {
 					// Concurrent single-instance requests: under the batched
-					// config these interleave into shared micro-batches.
-					got := make([]float64, tr.Probes.Rows)
-					errs := make(chan error, tr.Probes.Rows)
-					var wg sync.WaitGroup
-					for i := 0; i < tr.Probes.Rows; i++ {
-						wg.Add(1)
-						go func(i int) {
-							defer wg.Done()
-							p, err := predictOne(ts.URL, string(tr.Kind), tr.Probes.Row(i))
-							if err != nil {
-								errs <- fmt.Errorf("probe %d: %w", i, err)
-								return
+					// configs these interleave into shared micro-batches.
+					for pass := 1; pass <= 2; pass++ {
+						got := make([]float64, tr.Probes.Rows)
+						errs := make(chan error, tr.Probes.Rows)
+						var wg sync.WaitGroup
+						for i := 0; i < tr.Probes.Rows; i++ {
+							wg.Add(1)
+							go func(i int) {
+								defer wg.Done()
+								p, err := predictOne(ts.URL, string(tr.Kind), tr.Probes.Row(i))
+								if err != nil {
+									errs <- fmt.Errorf("pass %d probe %d: %w", pass, i, err)
+									return
+								}
+								got[i] = p
+							}(i)
+						}
+						wg.Wait()
+						close(errs)
+						for err := range errs {
+							t.Fatal(err)
+						}
+						for i := range got {
+							if got[i] != tr.Want[i] {
+								t.Fatalf("pass %d probe %d over HTTP = %v, in-process = %v (not bit-identical)",
+									pass, i, got[i], tr.Want[i])
 							}
-							got[i] = p
-						}(i)
-					}
-					wg.Wait()
-					close(errs)
-					for err := range errs {
-						t.Fatal(err)
-					}
-					for i := range got {
-						if got[i] != tr.Want[i] {
-							t.Fatalf("probe %d over HTTP = %v, in-process = %v (not bit-identical)",
-								i, got[i], tr.Want[i])
 						}
 					}
 				})
