@@ -138,10 +138,9 @@ func main() {
 	var httpSrv *http.Server
 	if *addr != "" {
 		registry = serve.New(serve.Config{DrainTimeout: *drainWait})
-		cfg.Registry = registry
 	}
 
-	cfg.Publish = publisher()
+	cfg.Publish = publisher(registry)
 
 	loop, err := stream.New(cfg)
 	if err != nil {
@@ -202,16 +201,19 @@ func main() {
 	}
 }
 
-// publisher builds the per-refresh artifact hook: write the artifact
-// under -artifact-dir (atomic temp-file + rename, versioned by swap)
-// and hot-load it into the remote edaserved at -push-url. Returns nil
-// when neither flag is set.
-func publisher() func(*model.Artifact) error {
-	if *artifactDir == "" {
+// publisher builds the per-refresh hook: hot-swap the artifact into the
+// embedded registry (when serving with -addr), then write it under
+// -artifact-dir (atomic temp-file + rename, versioned by swap) and
+// hot-load it into the remote edaserved at -push-url. Returns nil when
+// there is nowhere to publish.
+func publisher(registry *serve.Server) func(*model.Artifact) error {
+	if registry == nil && *artifactDir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(*artifactDir, 0o755); err != nil {
-		fatal(err)
+	if *artifactDir != "" {
+		if err := os.MkdirAll(*artifactDir, 0o755); err != nil {
+			fatal(err)
+		}
 	}
 	var push *client.Client
 	if *pushURL != "" {
@@ -220,6 +222,14 @@ func publisher() func(*model.Artifact) error {
 	swap := 0
 	return func(a *model.Artifact) error {
 		swap++
+		if registry != nil {
+			if err := registry.Load(*modelName, a); err != nil {
+				return fmt.Errorf("hot-swap %q: %w", *modelName, err)
+			}
+		}
+		if *artifactDir == "" {
+			return nil
+		}
 		data, err := a.Marshal()
 		if err != nil {
 			return err

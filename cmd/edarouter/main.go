@@ -2,8 +2,9 @@
 // sharded cluster router (internal/serve/cluster): consistent-hash
 // model→shard routing with replication, health-gated membership fed by
 // background readiness probes, batch fan-out across healthy owners,
-// priority-tiered admission, and blue/green rollout through the
-// replicas' /models/load.
+// and blue/green rollout through the replicas' /models/load. Its HTTP
+// front (wire types, priority-tiered admission, deadlines, error
+// replies, /healthz and /metrics) is edaserved's own serve.Front.
 //
 // Usage:
 //
@@ -13,7 +14,7 @@
 //	          [-attempt-timeout 5s] [-probe-interval 1s]
 //	          [-spread-min 8] [-down-after 1] [-drain-timeout 10s]
 //	          [-chaos-seed N] [-chaos-err p] [-chaos-latency-rate p]
-//	          [-chaos-latency d] [-chaos-corrupt p]
+//	          [-chaos-latency d]
 //
 // The router exposes the same HTTP surface as a single edaserved, so
 // existing clients point at it unchanged. On SIGTERM/SIGINT it flips
@@ -63,20 +64,18 @@ var (
 	chaosErr         = flag.Float64("chaos-err", 0, "injected error rate in [0,1] at each cluster fault site")
 	chaosLatencyRate = flag.Float64("chaos-latency-rate", 0, "injected latency rate in [0,1] at each cluster fault site")
 	chaosLatency     = flag.Duration("chaos-latency", 5*time.Millisecond, "injected latency magnitude")
-	chaosCorrupt     = flag.Float64("chaos-corrupt", 0, "injected payload-corruption rate in [0,1]")
 )
 
 // activateChaos installs the fault plan the chaos flags describe, if any
 // rate is nonzero. Returns the active site names (nil when clean).
 func activateChaos() []string {
-	if *chaosErr <= 0 && *chaosLatencyRate <= 0 && *chaosCorrupt <= 0 {
+	if *chaosErr <= 0 && *chaosLatencyRate <= 0 {
 		return nil
 	}
 	fault.Activate(fault.Uniform(*chaosSeed, fault.SiteConfig{
 		ErrRate:     *chaosErr,
 		LatencyRate: *chaosLatencyRate,
 		Latency:     *chaosLatency,
-		CorruptRate: *chaosCorrupt,
 	}, fault.ClusterSites()...))
 	return fault.ActiveSites()
 }

@@ -38,7 +38,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 
 	bodies := make([][]byte, svc.Probes.Rows)
 	for i := range bodies {
-		bodies[i], _ = json.Marshal(predictRequest{Instances: [][]float64{svc.Probes.Row(i)}})
+		bodies[i], _ = json.Marshal(PredictRequest{Instances: [][]float64{svc.Probes.Row(i)}})
 	}
 
 	for _, clients := range []int{1, 8, 64} {
@@ -81,7 +81,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 							b.Error(err)
 							return
 						}
-						var pr predictResponse
+						var pr PredictResponse
 						if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
 							b.Error(err)
 						}
@@ -123,7 +123,7 @@ func BenchmarkServeThroughputFaultyBackend(b *testing.B) {
 	}
 	bodies := make([][]byte, svc.Probes.Rows)
 	for i := range bodies {
-		bodies[i], _ = json.Marshal(predictRequest{Instances: [][]float64{svc.Probes.Row(i)}})
+		bodies[i], _ = json.Marshal(PredictRequest{Instances: [][]float64{svc.Probes.Row(i)}})
 	}
 
 	fault.Activate(fault.Plan{Seed: testSeed, Sites: map[string]fault.SiteConfig{

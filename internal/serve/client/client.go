@@ -1,5 +1,8 @@
 // Package client is the resilient, typed HTTP client for the serving
-// layer (internal/serve): per-attempt timeouts, capped exponential
+// layer (internal/serve). Its types come from serve, which declares the
+// wire format once for both servers (serve.PredictRequest,
+// serve.PredictResponse, serve.ModelInfo, serve.LoadRequest,
+// serve.ErrorBody). It adds per-attempt timeouts, capped exponential
 // backoff with deterministic jitter, a retry budget, and a three-state
 // circuit breaker. It is the caller-side half of the resilience story —
 // the server sheds, times out, and isolates; the client retries what is
@@ -34,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // Client metrics: attempts, retries, failures, and breaker behavior.
@@ -90,8 +94,6 @@ type Config struct {
 	// deterministic clock here so a chaos run's breaker transitions are
 	// a pure function of the seed instead of wall time.
 	Now func() time.Time
-	// now overrides the breaker clock in tests.
-	now func() time.Time
 	// sleep overrides backoff sleeping in tests.
 	sleep func(ctx context.Context, d time.Duration) error
 }
@@ -118,11 +120,8 @@ func (c *Config) defaults() {
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 2 * time.Second
 	}
-	if c.now == nil {
-		c.now = c.Now
-	}
-	if c.now == nil {
-		c.now = time.Now
+	if c.Now == nil {
+		c.Now = time.Now
 	}
 	if c.sleep == nil {
 		c.sleep = sleepCtx
@@ -165,22 +164,10 @@ func New(cfg Config) *Client {
 	return &Client{
 		cfg:     cfg,
 		http:    hc,
-		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.now),
+		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		budget:  cfg.RetryBudget,
 	}
-}
-
-// Prediction is the typed result of one Predict call.
-type Prediction struct {
-	Model       string    `json:"model"`
-	Kind        string    `json:"kind"`
-	Predictions []float64 `json:"predictions"`
-}
-
-// errorBody is the server's {"error": ...} shape.
-type errorBody struct {
-	Error string `json:"error"`
 }
 
 // httpStatusError is a non-2xx reply.
@@ -206,12 +193,12 @@ func retryable(err error) bool {
 
 // Predict scores instances against the named model, retrying through
 // the backoff schedule, the retry budget, and the circuit breaker.
-func (c *Client) Predict(ctx context.Context, modelName string, instances [][]float64) (*Prediction, error) {
-	body, err := json.Marshal(map[string][][]float64{"instances": instances})
+func (c *Client) Predict(ctx context.Context, modelName string, instances [][]float64) (*serve.PredictResponse, error) {
+	body, err := json.Marshal(serve.PredictRequest{Instances: instances})
 	if err != nil {
 		return nil, fmt.Errorf("client: marshal request: %w", err)
 	}
-	var out Prediction
+	var out serve.PredictResponse
 	err = c.call(ctx, http.MethodPost, "/predict/"+modelName, body, &out)
 	if err != nil {
 		return nil, err
@@ -318,7 +305,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		return fmt.Errorf("client: read response: %w", err)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var eb errorBody
+		var eb serve.ErrorBody
 		_ = json.Unmarshal(data, &eb)
 		se := &httpStatusError{status: resp.StatusCode, msg: eb.Error}
 		if resp.StatusCode >= 400 && resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests {
@@ -377,17 +364,6 @@ func (c *Client) refundRetryToken() {
 // operational introspection.
 func (c *Client) BreakerState() string { return c.breaker.state() }
 
-// ModelInfo is one entry of the server's GET /models reply and the
-// POST /models/load reply.
-type ModelInfo struct {
-	Name     string `json:"name"`
-	Kind     string `json:"kind"`
-	Features int    `json:"features"`
-	Seed     int64  `json:"seed"`
-	Revision string `json:"revision,omitempty"`
-	Checksum string `json:"payload_sha256"`
-}
-
 // Try performs exactly one breaker-gated attempt: no retries, no
 // backoff, and — unlike call — no sleeping out an open breaker, which
 // fails fast with ErrBreakerOpen instead. The cluster router
@@ -418,12 +394,12 @@ func (c *Client) Try(ctx context.Context, method, path string, body []byte, out 
 // TryPredict is a single-attempt Predict with a per-call priority (the
 // tier the router forwards from the original request; empty uses the
 // configured default).
-func (c *Client) TryPredict(ctx context.Context, modelName string, instances [][]float64, priority string) (*Prediction, error) {
-	body, err := json.Marshal(map[string][][]float64{"instances": instances})
+func (c *Client) TryPredict(ctx context.Context, modelName string, instances [][]float64, priority string) (*serve.PredictResponse, error) {
+	body, err := json.Marshal(serve.PredictRequest{Instances: instances})
 	if err != nil {
 		return nil, fmt.Errorf("client: marshal request: %w", err)
 	}
-	var out Prediction
+	var out serve.PredictResponse
 	if err := c.Try(ctx, http.MethodPost, "/predict/"+modelName, body, &out, priority); err != nil {
 		return nil, err
 	}
@@ -439,12 +415,12 @@ func (c *Client) TryReadyz(ctx context.Context) error {
 
 // TryLoad is a single-attempt POST /models/load: hot-load the artifact
 // at path (a path on the server's filesystem) under name.
-func (c *Client) TryLoad(ctx context.Context, path, name string) (*ModelInfo, error) {
-	body, err := json.Marshal(map[string]string{"path": path, "name": name})
+func (c *Client) TryLoad(ctx context.Context, path, name string) (*serve.ModelInfo, error) {
+	body, err := json.Marshal(serve.LoadRequest{Path: path, Name: name})
 	if err != nil {
 		return nil, fmt.Errorf("client: marshal request: %w", err)
 	}
-	var out ModelInfo
+	var out serve.ModelInfo
 	if err := c.Try(ctx, http.MethodPost, "/models/load", body, &out, ""); err != nil {
 		return nil, err
 	}
@@ -452,8 +428,8 @@ func (c *Client) TryLoad(ctx context.Context, path, name string) (*ModelInfo, er
 }
 
 // TryModels is a single-attempt GET /models.
-func (c *Client) TryModels(ctx context.Context) ([]ModelInfo, error) {
-	var out []ModelInfo
+func (c *Client) TryModels(ctx context.Context) ([]serve.ModelInfo, error) {
+	var out []serve.ModelInfo
 	if err := c.Try(ctx, http.MethodGet, "/models", nil, &out, ""); err != nil {
 		return nil, err
 	}

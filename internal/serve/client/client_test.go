@@ -317,7 +317,7 @@ func TestBreakerOpensAgainstDownServer(t *testing.T) {
 		BackoffBase: time.Millisecond, BackoffMax: time.Millisecond,
 		BreakerThreshold: 3, BreakerCooldown: time.Minute, Seed: 1,
 	}
-	cfg.now = clk.now
+	cfg.Now = clk.now
 	cfg.sleep = noSleep
 	c := New(cfg)
 

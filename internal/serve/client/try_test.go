@@ -57,7 +57,7 @@ func TestTryBreakerFastFail(t *testing.T) {
 	defer ts.Close()
 
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	c := New(Config{BaseURL: ts.URL, BreakerThreshold: 2, BreakerCooldown: time.Minute, now: clk.now})
+	c := New(Config{BaseURL: ts.URL, BreakerThreshold: 2, BreakerCooldown: time.Minute, Now: clk.now})
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
 		if err := c.TryReadyz(ctx); err == nil {

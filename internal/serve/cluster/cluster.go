@@ -31,10 +31,12 @@
 //     deterministic, so the merged vector is bit-identical to any
 //     single node scoring the whole batch (the testkit DiffPaths
 //     cluster lane asserts this for all six persisted kinds).
-//   - Admission before routing: the router runs the same priority-
-//     tiered shedder as a single node (serve.Admission, scope
-//     "cluster") — low sheds at 50% of MaxInFlight, normal at 90%,
-//     high at 100%. A 429 from a replica is propagated to the caller,
+//   - Admission before routing: the router mounts the same HTTP front
+//     as a single node (serve.Front, scope "cluster"), so a predict
+//     passes the same gate (method, drain, priority-tiered shedding —
+//     low at 50% of MaxInFlight, normal at 90%, high at 100% — and the
+//     request deadline) and the same body readers before the ring is
+//     consulted. A 429 from a replica is propagated to the caller,
 //     never silently retried into a different replica: shedding is a
 //     load decision, and rerouting shed traffic would defeat it.
 //     Failover across replicas happens only for failures where the

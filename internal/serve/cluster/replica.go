@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/serve/client"
 )
 
@@ -44,7 +45,6 @@ func newReplica(idx int, base string, cfg Config) *Replica {
 		c: client.New(client.Config{
 			BaseURL:          base,
 			Timeout:          cfg.AttemptTimeout,
-			MaxAttempts:      1, // the router fails over instead of retrying in place
 			BreakerThreshold: cfg.BreakerThreshold,
 			BreakerCooldown:  cfg.BreakerCooldown,
 			Seed:             cfg.Seed + int64(idx),
@@ -87,7 +87,7 @@ func (r *Replica) Probe(ctx context.Context) error {
 // only transport-level failures (StatusCode 0: refused connections,
 // timeouts, breaker fast-fails) count toward marking it down; a 429 or
 // a 500 is an unhealthy answer, not an unreachable host.
-func (r *Replica) predict(ctx context.Context, model string, instances [][]float64, priority string) (*client.Prediction, error) {
+func (r *Replica) predict(ctx context.Context, model string, instances [][]float64, priority string) (*serve.PredictResponse, error) {
 	r.requests.Inc()
 	p, err := r.c.TryPredict(ctx, model, instances, priority)
 	if err != nil {
@@ -105,7 +105,7 @@ func (r *Replica) predict(ctx context.Context, model string, instances [][]float
 }
 
 // load hot-loads an artifact on this replica through its /models/load.
-func (r *Replica) load(ctx context.Context, path, name string) (*client.ModelInfo, error) {
+func (r *Replica) load(ctx context.Context, path, name string) (*serve.ModelInfo, error) {
 	info, err := r.c.TryLoad(ctx, path, name)
 	if err != nil {
 		if client.StatusCode(err) == 0 {
@@ -118,7 +118,7 @@ func (r *Replica) load(ctx context.Context, path, name string) (*client.ModelInf
 }
 
 // models lists the replica's registry.
-func (r *Replica) models(ctx context.Context) ([]client.ModelInfo, error) {
+func (r *Replica) models(ctx context.Context) ([]serve.ModelInfo, error) {
 	return r.c.TryModels(ctx)
 }
 

@@ -2,14 +2,10 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -19,7 +15,8 @@ import (
 )
 
 // Router metrics. Per-replica counters live on each Replica; the
-// admission gate mints cluster.{inflight_max,throttled_429,shed.*}.
+// serve.Front mints the per-endpoint, panic, deadline and admission
+// metrics under the scope "cluster".
 var (
 	routedRequests  = obs.GetCounter("cluster.requests_routed")
 	routedInstances = obs.GetCounter("cluster.instances_routed")
@@ -28,22 +25,18 @@ var (
 	partitions      = obs.GetCounter("cluster.partitions")
 	noHealthy       = obs.GetCounter("cluster.no_healthy_replica")
 	rollouts        = obs.GetCounter("cluster.rollouts")
-	routerPanics    = obs.GetCounter("cluster.panics_recovered")
-	routerDeadline  = obs.GetCounter("cluster.deadline_exceeded")
 	replicasHealthy = obs.GetGauge("cluster.replicas_healthy")
 )
 
-// Router is the cluster front-end: it owns the fleet, the ring, and
-// the admission gate, and exposes the same HTTP surface as a single
-// serve.Server — a client cannot tell (and must not be able to tell,
-// bit for bit) whether it is talking to one node or the fleet.
+// Router is the cluster front-end: it owns the fleet and the ring, and
+// serves the same HTTP surface as a single serve.Server through the
+// same serve.Front — a client cannot tell (and must not be able to
+// tell, bit for bit) whether it is talking to one node or the fleet.
 type Router struct {
 	cfg      Config
 	replicas []*Replica
 	ring     *ring
-	adm      *serve.Admission
-
-	draining atomic.Bool
+	front    *serve.Front
 
 	probeMu   sync.Mutex
 	probeStop chan struct{}
@@ -55,9 +48,9 @@ type Router struct {
 func NewRouter(cfg Config, bases []string) *Router {
 	cfg.defaults()
 	rt := &Router{
-		cfg:  cfg,
-		ring: newRing(len(bases), cfg.VNodes),
-		adm:  serve.NewAdmission("cluster", cfg.MaxInFlight),
+		cfg:   cfg,
+		ring:  newRing(len(bases), cfg.VNodes),
+		front: serve.NewFront("cluster", cfg.MaxInFlight, cfg.RequestTimeout),
 	}
 	for i, base := range bases {
 		rt.replicas = append(rt.replicas, newReplica(i, strings.TrimSuffix(base, "/"), cfg))
@@ -126,7 +119,7 @@ func (rt *Router) StopProbing() {
 }
 
 // StartDraining flips readiness off; requests already admitted finish.
-func (rt *Router) StartDraining() { rt.draining.Store(true) }
+func (rt *Router) StartDraining() { rt.front.StartDraining() }
 
 // Close stops the prober and drains. Idempotent.
 func (rt *Router) Close() {
@@ -134,49 +127,17 @@ func (rt *Router) Close() {
 	rt.StopProbing()
 }
 
-// Handler returns the router's HTTP mux — the same surface as a single
-// serve.Server, so serve/client works unchanged against the fleet:
+// Handler returns the router's HTTP mux (see serve.Front.Handler), so
+// serve/client works unchanged against the fleet. The router's own
+// bodies:
 //
-//	GET  /healthz          router process liveness
 //	GET  /readyz           200 while ≥1 replica is healthy and not draining
 //	                       (unhealthy replicas are re-probed inline)
 //	GET  /models           per-replica registry listing
 //	POST /models/load      blue/green rollout across the model's owners
-//	POST /predict/{model}  admission → shard → fan out → merge
-//	GET  /metrics          deterministic obs snapshot (JSON)
+//	POST /predict/{model}  shard → fan out → merge
 func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", rt.wrap("healthz", rt.handleHealthz))
-	mux.HandleFunc("/readyz", rt.wrap("readyz", rt.handleReadyz))
-	mux.HandleFunc("/models", rt.wrap("models", rt.handleModels))
-	mux.HandleFunc("/models/load", rt.wrap("models_load", rt.handleLoad))
-	mux.HandleFunc("/predict/", rt.wrap("predict", rt.handlePredict))
-	mux.HandleFunc("/metrics", rt.wrap("metrics", rt.handleMetrics))
-	return mux
-}
-
-// wrap mints per-endpoint metrics and isolates handler panics, like the
-// single-node server's wrapper (scope cluster.<endpoint>).
-func (rt *Router) wrap(name string, h http.HandlerFunc) http.HandlerFunc {
-	scope := obs.Scope("cluster." + name)
-	requests := scope.Counter("requests")
-	latency := scope.Histogram("latency_ns")
-	return func(w http.ResponseWriter, r *http.Request) {
-		requests.Inc()
-		t := latency.Start()
-		defer t.Stop()
-		defer func() {
-			if rec := recover(); rec != nil {
-				routerPanics.Inc()
-				httpError(w, http.StatusInternalServerError, fmt.Sprintf("internal panic: %v", rec))
-			}
-		}()
-		h(w, r)
-	}
-}
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	return rt.front.Handler(rt.handleReadyz, rt.handleModels, rt.handleLoad, rt.handlePredict)
 }
 
 // replicaStatus is one fleet member's health in the /readyz reply.
@@ -188,10 +149,6 @@ type replicaStatus struct {
 }
 
 func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if rt.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
 	// Re-probe only the replicas currently out of the serving set:
 	// cheap when the fleet is healthy, and the path by which a revived
 	// node rejoins without waiting for the background prober.
@@ -214,20 +171,16 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		state = "no healthy replicas"
 	}
-	writeJSON(w, status, map[string]any{"status": state, "healthy": healthy, "replicas": statuses})
+	serve.WriteJSON(w, status, map[string]any{"status": state, "healthy": healthy, "replicas": statuses})
 }
 
 func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	type replicaModels struct {
-		Replica int                `json:"replica"`
-		Base    string             `json:"base"`
-		Healthy bool               `json:"healthy"`
-		Models  []client.ModelInfo `json:"models,omitempty"`
-		Error   string             `json:"error,omitempty"`
+		Replica int               `json:"replica"`
+		Base    string            `json:"base"`
+		Healthy bool              `json:"healthy"`
+		Models  []serve.ModelInfo `json:"models,omitempty"`
+		Error   string            `json:"error,omitempty"`
 	}
 	out := make([]replicaModels, len(rt.replicas))
 	for i, rep := range rt.replicas {
@@ -242,15 +195,7 @@ func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) {
 		}
 		out[i] = rm
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// loadRequest mirrors the single-node /models/load body. The router
-// additionally requires "name": ownership is computed from the model
-// name, and the router never reads the artifact itself.
-type loadRequest struct {
-	Path string `json:"path"`
-	Name string `json:"name"`
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 // rolloutStep is one owner's outcome in the /models/load reply.
@@ -268,27 +213,12 @@ type rolloutStep struct {
 // serving the old version, so a rollout under live traffic drops
 // nothing; a request during the transition gets one version or the
 // other, both bit-exact for their artifact. 200 when every reachable
-// owner loaded; 502 when none did.
-func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if rt.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, "router is draining")
-		return
-	}
-	var req loadRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, serve.MaxRequestBytes)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if req.Path == "" {
-		httpError(w, http.StatusBadRequest, "missing \"path\"")
-		return
-	}
+// owner loaded; 502 when none did. Unlike a single node, the router
+// requires "name": ownership is computed from the model name, and the
+// router never reads the artifact itself.
+func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request, req serve.LoadRequest) {
 	if req.Name == "" {
-		httpError(w, http.StatusBadRequest, "missing \"name\": the router shards by model name")
+		serve.Error(w, http.StatusBadRequest, `missing "name": the router shards by model name`)
 		return
 	}
 	owners := rt.Owners(req.Name)
@@ -315,19 +245,7 @@ func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request) {
 	} else {
 		rollouts.Inc()
 	}
-	writeJSON(w, status, map[string]any{"name": req.Name, "loaded": loaded, "replicas": steps})
-}
-
-// predictRequest / predictResponse mirror the single-node wire shapes:
-// the merged reply must be indistinguishable from one node's.
-type predictRequest struct {
-	Instances [][]float64 `json:"instances"`
-}
-
-type predictResponse struct {
-	Model       string    `json:"model"`
-	Kind        string    `json:"kind"`
-	Predictions []float64 `json:"predictions"`
+	serve.WriteJSON(w, status, map[string]any{"name": req.Name, "loaded": loaded, "replicas": steps})
 }
 
 // chunkResult is one owner's share of a fanned-out batch.
@@ -338,63 +256,28 @@ type chunkResult struct {
 	err   error
 }
 
-func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if rt.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, "router is draining")
-		return
-	}
-	pri := serve.PriorityOf(r)
-	if !rt.adm.Acquire(pri) {
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "too many in-flight requests")
-		return
-	}
-	defer rt.adm.Release()
-
-	ctx := r.Context()
-	if rt.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, rt.cfg.RequestTimeout)
-		defer cancel()
-	}
-
+func (rt *Router) handlePredict(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	// Chaos coverage of the routing step itself: an injected error is a
 	// retryable 500 before any replica sees the request; an injected
 	// delay stalls routing under the request deadline.
 	if o := fault.Check(fault.SiteClusterRoute); o.Err != nil || o.Delay > 0 {
 		if werr := o.Wait(ctx); werr != nil {
-			rt.deadline(w, werr)
+			rt.front.Deadline(w, werr)
 			return
 		}
 		if o.Err != nil {
-			httpError(w, http.StatusInternalServerError, o.Err.Error())
+			serve.Error(w, http.StatusInternalServerError, o.Err.Error())
 			return
 		}
 	}
 
 	name := strings.TrimPrefix(r.URL.Path, "/predict/")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxRequestBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", serve.MaxRequestBytes))
-			return
-		}
-		httpError(w, http.StatusBadRequest, "read request body: "+err.Error())
+	body, ok := serve.ReadBody(w, r)
+	if !ok {
 		return
 	}
-	var req predictRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if len(req.Instances) == 0 {
-		httpError(w, http.StatusBadRequest, "no instances")
+	req, ok := serve.DecodePredict(w, body)
+	if !ok {
 		return
 	}
 
@@ -413,7 +296,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		if o.Delay > 0 {
 			if werr := o.Wait(ctx); werr != nil {
-				rt.deadline(w, werr)
+				rt.front.Deadline(w, werr)
 				return
 			}
 		}
@@ -424,7 +307,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if len(avail) == 0 {
 		noHealthy.Inc()
 		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusServiceUnavailable,
+		serve.Error(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("no healthy replica for model %q", name))
 		return
 	}
@@ -436,6 +319,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if len(chunks) > 1 {
 		fanouts.Inc()
 	}
+	pri := serve.PriorityOf(r)
 	results := make([]chunkResult, len(chunks))
 	var wg sync.WaitGroup
 	for i := range chunks {
@@ -459,7 +343,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	routedRequests.Inc()
 	routedInstances.Add(int64(len(preds)))
-	writeJSON(w, http.StatusOK, predictResponse{Model: name, Kind: kind, Predictions: preds})
+	serve.WriteJSON(w, http.StatusOK, serve.PredictResponse{Model: name, Kind: kind, Predictions: preds})
 }
 
 // routeChunk scores one chunk, starting at avail[start] and failing
@@ -496,35 +380,14 @@ func (rt *Router) routeChunk(ctx context.Context, name string, chunk [][]float64
 // replica-answered status (429, 4xx) → that status, everything else →
 // 502 (retryable by the caller).
 func (rt *Router) chunkError(w http.ResponseWriter, res chunkResult) {
-	err := res.err
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		rt.deadline(w, err)
-		return
-	}
+	status := http.StatusBadGateway
 	if res.code != 0 {
-		if res.code == http.StatusTooManyRequests {
+		status = res.code
+		if status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", "1")
 		}
-		httpError(w, res.code, err.Error())
-		return
 	}
-	httpError(w, http.StatusBadGateway, err.Error())
-}
-
-func (rt *Router) deadline(w http.ResponseWriter, err error) {
-	routerDeadline.Inc()
-	httpError(w, http.StatusGatewayTimeout, "request deadline exceeded: "+err.Error())
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	data, err := obs.SnapshotJSON()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(append(data, '\n')) //nolint:errcheck — nothing to do on a failed reply write
+	rt.front.Fail(w, status, res.err)
 }
 
 // splitChunks partitions instances into at most k contiguous chunks of
@@ -546,22 +409,4 @@ func splitChunks(instances [][]float64, k, spreadMin int) [][][]float64 {
 		at += size
 	}
 	return chunks
-}
-
-// writeJSON marshals before committing the status line (same contract
-// as the single-node server: a value JSON cannot represent becomes a
-// clean 500, never a 200 with an empty body).
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		data, _ = json.Marshal(map[string]string{"error": "encode response: " + err.Error()})
-		status = http.StatusInternalServerError
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(data, '\n')) //nolint:errcheck — nothing to do on a failed reply write
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }

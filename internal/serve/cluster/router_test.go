@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,6 +27,8 @@ import (
 
 // fakeReplica is a scripted stand-in for a serve.Server: always ready,
 // and answering predict with a fixed status while recording what it saw.
+// A predict for the model "stall" never answers: it waits for the
+// caller to give up.
 type fakeReplica struct {
 	status   int // predict reply status; 200 serves real-looking predictions
 	hits     atomic.Int64
@@ -40,24 +44,31 @@ func (f *fakeReplica) handler() http.Handler {
 	mux.HandleFunc("/predict/", func(w http.ResponseWriter, r *http.Request) {
 		f.hits.Add(1)
 		f.lastPrio.Store(r.Header.Get("X-Priority"))
+		if r.URL.Path == "/predict/stall" {
+			// The server notices the caller hang up only once the
+			// body has been read.
+			io.Copy(io.Discard, r.Body) //nolint:errcheck — test fake
+			<-r.Context().Done()
+			return
+		}
 		if f.status != http.StatusOK {
 			w.WriteHeader(f.status)
 			fmt.Fprintf(w, `{"error":"scripted %d"}`, f.status)
 			return
 		}
-		var req struct {
-			Instances [][]float64 `json:"instances"`
-		}
+		var req serve.PredictRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			w.WriteHeader(http.StatusBadRequest)
 			return
 		}
 		preds := make([]float64, len(req.Instances))
 		for i, row := range req.Instances {
-			preds[i] = row[0]
+			if len(row) > 0 {
+				preds[i] = row[0]
+			}
 		}
-		json.NewEncoder(w).Encode(map[string]any{ //nolint:errcheck — test fake
-			"model": "m", "kind": "fake", "predictions": preds,
+		json.NewEncoder(w).Encode(serve.PredictResponse{ //nolint:errcheck — test fake
+			Model: "m", Kind: "fake", Predictions: preds,
 		})
 	})
 	return mux
@@ -245,23 +256,35 @@ func TestPermanent4xxPropagates(t *testing.T) {
 	}
 }
 
-// TestPredictValidation: malformed requests die at the router.
+// TestPredictValidation: malformed requests die at the router, and a
+// replica that stalls past the request deadline becomes a counted 504.
 func TestPredictValidation(t *testing.T) {
-	rt, _ := fakeCluster(t, Config{Replication: 1}, http.StatusOK)
+	rt, _ := fakeCluster(t, Config{Replication: 1, RequestTimeout: 50 * time.Millisecond}, http.StatusOK)
 	h := rt.Handler()
+	deadlines := obs.GetCounter("cluster.deadline_exceeded")
 	for _, tc := range []struct {
-		name, method, body string
-		want               int
+		name, method, model, body string
+		want                      int
 	}{
-		{"method", http.MethodGet, oneRow, http.StatusMethodNotAllowed},
-		{"bad json", http.MethodPost, "{", http.StatusBadRequest},
-		{"no instances", http.MethodPost, `{"instances": []}`, http.StatusBadRequest},
+		{"method", http.MethodGet, "m", oneRow, http.StatusMethodNotAllowed},
+		{"bad json", http.MethodPost, "m", "{", http.StatusBadRequest},
+		{"no instances", http.MethodPost, "m", `{"instances": []}`, http.StatusBadRequest},
+		{"too large", http.MethodPost, "m", strings.Repeat("9", serve.MaxRequestBytes+2), http.StatusRequestEntityTooLarge},
+		{"replica stalls", http.MethodPost, "stall", oneRow, http.StatusGatewayTimeout},
 	} {
-		req := httptest.NewRequest(tc.method, "/predict/m", bytes.NewReader([]byte(tc.body)))
+		before := deadlines.Value()
+		req := httptest.NewRequest(tc.method, "/predict/"+tc.model, strings.NewReader(tc.body))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, rec.Code, tc.want)
+		}
+		want := before
+		if tc.want == http.StatusGatewayTimeout {
+			want++
+		}
+		if got := deadlines.Value(); got != want {
+			t.Errorf("%s: cluster.deadline_exceeded = %d, want %d", tc.name, got, want)
 		}
 	}
 }

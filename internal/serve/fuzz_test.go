@@ -63,11 +63,11 @@ func FuzzPredictHandler(f *testing.F) {
 		case http.StatusOK:
 			// An accepted body must produce a well-formed response with
 			// one prediction per instance.
-			var preq predictRequest
+			var preq PredictRequest
 			if err := json.Unmarshal(body, &preq); err != nil {
 				t.Fatalf("200 for a body that does not parse: %q", body)
 			}
-			var presp predictResponse
+			var presp PredictResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &presp); err != nil {
 				t.Fatalf("200 with unparseable response: %v", err)
 			}

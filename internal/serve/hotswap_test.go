@@ -82,7 +82,7 @@ func TestHotSwapRace(t *testing.T) {
 		}
 	}()
 
-	body, _ := json.Marshal(predictRequest{Instances: probes})
+	body, _ := json.Marshal(PredictRequest{Instances: probes})
 	const clients, requests = 4, 60
 	errs := make(chan error, clients*requests)
 	var wg sync.WaitGroup
@@ -97,7 +97,7 @@ func TestHotSwapRace(t *testing.T) {
 					errs <- fmt.Errorf("status %d: %s", rec.Code, rec.Body.String())
 					continue
 				}
-				var pr predictResponse
+				var pr PredictResponse
 				if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil {
 					errs <- err
 					continue

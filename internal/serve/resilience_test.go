@@ -25,7 +25,7 @@ import (
 // predictVia posts a predict request straight through the handler (no
 // network) with an optional priority header.
 func predictVia(h http.Handler, name, prio string, instances [][]float64) *httptest.ResponseRecorder {
-	body, _ := json.Marshal(predictRequest{Instances: instances})
+	body, _ := json.Marshal(PredictRequest{Instances: instances})
 	req := httptest.NewRequest(http.MethodPost, "/predict/"+name, bytes.NewReader(body))
 	if prio != "" {
 		req.Header.Set("X-Priority", prio)
@@ -54,7 +54,7 @@ func TestPrioritySheddingOrder(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for prio, want := range tc.want {
-			s.adm.inflight.Store(tc.occupied)
+			s.front.adm.inflight.Store(tc.occupied)
 			rec := predictVia(h, "ridge", prio, inst)
 			if rec.Code != want {
 				t.Errorf("occupied=%d priority=%q: status %d, want %d",
@@ -62,13 +62,13 @@ func TestPrioritySheddingOrder(t *testing.T) {
 			}
 		}
 	}
-	s.adm.inflight.Store(0)
+	s.front.adm.inflight.Store(0)
 
 	// Shed counters attribute rejections to the tier that was refused.
 	before := obs.GetCounter("serve.shed.low").Value()
-	s.adm.inflight.Store(10)
+	s.front.adm.inflight.Store(10)
 	predictVia(h, "ridge", "low", inst)
-	s.adm.inflight.Store(0)
+	s.front.adm.inflight.Store(0)
 	if got := obs.GetCounter("serve.shed.low").Value(); got != before+1 {
 		t.Fatalf("serve.shed.low = %d, want %d", got, before+1)
 	}
@@ -82,8 +82,8 @@ func TestPrioritySheddingOrder(t *testing.T) {
 func TestHealthProbesNeverShed(t *testing.T) {
 	s := newTestServer(t, Config{MaxInFlight: 4, MaxBatch: 1})
 	h := s.Handler()
-	s.adm.inflight.Store(4) // saturated
-	defer s.adm.inflight.Store(0)
+	s.front.adm.inflight.Store(4) // saturated
+	defer s.front.adm.inflight.Store(0)
 
 	// Keep hostile load arriving while we probe.
 	stop := make(chan struct{})
@@ -140,7 +140,7 @@ func TestRequestDeadline504(t *testing.T) {
 	fault.Activate(fault.Plan{Seed: 1, Sites: map[string]fault.SiteConfig{
 		fault.SiteKernelEval: {LatencyRate: 1, Latency: 30 * time.Second},
 	}})
-	before := deadlineExceeded.Value()
+	before := s.front.deadlines.Value()
 	start := time.Now()
 	rec := predictVia(h, "ridge", "", [][]float64{make([]float64, 8)})
 	elapsed := time.Since(start)
@@ -150,7 +150,7 @@ func TestRequestDeadline504(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("504 took %v — the deadline did not cut the stall short", elapsed)
 	}
-	if got := deadlineExceeded.Value(); got <= before {
+	if got := s.front.deadlines.Value(); got <= before {
 		t.Fatalf("serve.deadline_exceeded did not increase (%d -> %d)", before, got)
 	}
 
@@ -161,25 +161,27 @@ func TestRequestDeadline504(t *testing.T) {
 	}
 }
 
-// TestRecoveryMiddleware: a panicking handler answers 500 and bumps
-// serve.panics_recovered; the process (and the test binary) survives.
+// TestRecoveryMiddleware: under either server's scope, a panicking
+// handler answers 500 and bumps <scope>.panics_recovered; the process
+// (and the test binary) survives.
 func TestRecoveryMiddleware(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	h := s.wrap("boom", func(http.ResponseWriter, *http.Request) {
-		panic("kaboom")
-	})
-	before := panicsRecovered.Value()
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/boom", nil))
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500", rec.Code)
-	}
-	if !strings.Contains(rec.Body.String(), "kaboom") {
-		t.Fatalf("panic message lost: %s", rec.Body.String())
-	}
-	if got := panicsRecovered.Value(); got != before+1 {
-		t.Fatalf("serve.panics_recovered = %d, want %d", got, before+1)
+	for _, scope := range []string{"serve", "cluster"} {
+		h := NewFront(scope, 1, 0).wrap("boom", func(http.ResponseWriter, *http.Request) {
+			panic("kaboom")
+		})
+		panics := obs.GetCounter(scope + ".panics_recovered")
+		before := panics.Value()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/boom", nil))
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("%s: status = %d, want 500", scope, rec.Code)
+		}
+		if !strings.Contains(rec.Body.String(), "kaboom") {
+			t.Fatalf("%s: panic message lost: %s", scope, rec.Body.String())
+		}
+		if got := panics.Value(); got != before+1 {
+			t.Fatalf("%s.panics_recovered = %d, want %d", scope, got, before+1)
+		}
 	}
 }
 
@@ -349,14 +351,14 @@ func TestShedValues(t *testing.T) {
 		p    Priority
 		want int64
 	}{{PriorityLow, 50}, {PriorityNormal, 90}, {PriorityHigh, 100}} {
-		if got := s.adm.limitFor(tc.p); got != tc.want {
+		if got := s.front.adm.limitFor(tc.p); got != tc.want {
 			t.Fatalf("limitFor(%d) = %d, want %d", tc.p, got, tc.want)
 		}
 	}
 	tiny := New(Config{MaxInFlight: 1})
 	defer tiny.Close()
 	for _, p := range []Priority{PriorityLow, PriorityNormal, PriorityHigh} {
-		if got := tiny.adm.limitFor(p); got < 1 {
+		if got := tiny.front.adm.limitFor(p); got < 1 {
 			t.Fatalf("limitFor(%d) = %d with MaxInFlight=1 — a tier is starved", p, got)
 		}
 	}

@@ -17,6 +17,16 @@
 //     repeated inputs without scoring them again. Rows it misses go
 //     through the model's ScoreBatchInto, the package's one scoring
 //     call.
+//   - One HTTP front for both servers (see front.go): edaserved's
+//     Server and edarouter's cluster.Router mount the same Front, which
+//     declares the wire types (PredictRequest, PredictResponse,
+//     ModelInfo, LoadRequest, ErrorBody) and owns everything that
+//     precedes a server's own work. That is the /predict gate (method,
+//     drain, priority admission, request deadline), the body readers
+//     (413 past MaxRequestBytes, 400 on bad JSON), the JSON reply and
+//     error writer, the 504 reply, /healthz, /metrics, and the
+//     per-endpoint wrapper. The Front takes its metric scope ("serve"
+//     or "cluster") as data and never asks which server it fronts.
 //   - Bounded in-flight concurrency with priority-aware load shedding:
 //     predict requests declare a priority via the X-Priority header
 //     (low | normal | high) and each tier sheds (429) at its own slice
@@ -27,8 +37,8 @@
 //   - Per-request deadlines (Config.RequestTimeout): the request
 //     context propagates into the batcher and down to kernel eval, and
 //     an expired deadline returns 504 instead of holding a connection.
-//   - Panic isolation: a recovery middleware turns any handler panic
-//     into a 500 plus a serve.panics_recovered counter increment — one
+//   - Panic isolation: the per-endpoint wrapper turns any handler panic
+//     into a 500 plus a <scope>.panics_recovered counter increment — one
 //     poisoned request cannot take down the process.
 //   - Fault-injection sites (internal/fault) at kernel evaluation and
 //     request decoding, so chaos tests can drive errors, latency, and
@@ -48,10 +58,8 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -67,9 +75,8 @@ import (
 	"repro/internal/svm"
 )
 
-// Registry and request metrics. Per-endpoint counters and latency
-// histograms are minted by the handler wrapper under
-// serve.<endpoint>.requests / serve.<endpoint>.latency_ns.
+// Registry and request metrics. The Front mints the per-endpoint,
+// panic, deadline and admission metrics under the scope "serve".
 var (
 	modelsLoaded = obs.GetGauge("serve.models_loaded")
 	instances    = obs.GetCounter("serve.instances_scored")
@@ -81,15 +88,7 @@ var (
 	// fast path that skips the kernel expansion and the score memo.
 	approxCompiled = obs.GetGauge("approx.compiled_models")
 	approxFastPath = obs.GetCounter("approx.fast_path_hits")
-
-	panicsRecovered  = obs.GetCounter("serve.panics_recovered")
-	deadlineExceeded = obs.GetCounter("serve.deadline_exceeded")
 )
-
-// MaxRequestBytes caps a predict request body. Far beyond any
-// legitimate batch, small enough that a hostile body is a 413, not an
-// allocation storm.
-const MaxRequestBytes = 32 << 20
 
 // Config controls the serving behavior.
 type Config struct {
@@ -154,14 +153,13 @@ type servedModel struct {
 // Server is the inference server. Create with New, register models with
 // Load/LoadFile, mount Handler, and call Close to drain.
 type Server struct {
-	cfg Config
-	adm *Admission
+	cfg   Config
+	front *Front
 
 	mu     sync.RWMutex
 	models map[string]*servedModel
 
-	draining atomic.Bool
-	closed   atomic.Bool
+	closed atomic.Bool
 }
 
 // New returns a server with no models loaded.
@@ -169,7 +167,7 @@ func New(cfg Config) *Server {
 	cfg.defaults()
 	return &Server{
 		cfg:    cfg,
-		adm:    NewAdmission("serve", cfg.MaxInFlight),
+		front:  NewFront("serve", cfg.MaxInFlight, cfg.RequestTimeout),
 		models: make(map[string]*servedModel),
 	}
 }
@@ -318,186 +316,68 @@ func (sm *servedModel) scoreBatch(ctx context.Context, x *linalg.Matrix) ([]floa
 	return out, nil
 }
 
-// predictRequest is the body of POST /predict/{model}.
-type predictRequest struct {
-	Instances [][]float64 `json:"instances"`
-}
-
-// predictResponse is the reply: predictions[i] scores instances[i].
-type predictResponse struct {
-	Model       string    `json:"model"`
-	Kind        string    `json:"kind"`
-	Predictions []float64 `json:"predictions"`
-}
-
-// modelInfo is one entry of GET /models.
-type modelInfo struct {
-	Name     string `json:"name"`
-	Kind     string `json:"kind"`
-	Features int    `json:"features"`
-	Seed     int64  `json:"seed"`
-	Revision string `json:"revision,omitempty"`
-	Checksum string `json:"payload_sha256"`
-}
-
-// loadRequest is the body of POST /models/load.
-type loadRequest struct {
-	Path string `json:"path"`
-	Name string `json:"name,omitempty"`
-}
-
-// Handler returns the server's HTTP mux:
+// Handler returns the server's HTTP mux (see Front.Handler). The
+// server's own bodies:
 //
-//	GET  /healthz          process liveness (always 200, never shed)
-//	GET  /readyz           503 until models are loaded; 503 when draining
+//	GET  /readyz           503 until models are loaded
 //	GET  /models           registered models and their provenance
 //	POST /models/load      hot-load an artifact file: {"path": ..., "name": ...}
 //	POST /predict/{model}  score instances: {"instances": [[...], ...]}
-//	GET  /metrics          deterministic obs snapshot (JSON)
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.wrap("healthz", s.handleHealthz))
-	mux.HandleFunc("/readyz", s.wrap("readyz", s.handleReadyz))
-	mux.HandleFunc("/models", s.wrap("models", s.handleModels))
-	mux.HandleFunc("/models/load", s.wrap("models_load", s.handleLoad))
-	mux.HandleFunc("/predict/", s.wrap("predict", s.handlePredict))
-	mux.HandleFunc("/metrics", s.wrap("metrics", s.handleMetrics))
-	return mux
-}
-
-// wrap mints the per-endpoint counter and latency histogram, times
-// every request through them, and isolates handler panics: a panicking
-// handler answers 500 (best-effort, if nothing was written yet) and
-// increments serve.panics_recovered instead of killing the process.
-func (s *Server) wrap(name string, h http.HandlerFunc) http.HandlerFunc {
-	scope := obs.Scope("serve." + name)
-	requests := scope.Counter("requests")
-	latency := scope.Histogram("latency_ns")
-	return func(w http.ResponseWriter, r *http.Request) {
-		requests.Inc()
-		t := latency.Start()
-		defer t.Stop()
-		defer func() {
-			if rec := recover(); rec != nil {
-				panicsRecovered.Inc()
-				httpError(w, http.StatusInternalServerError, "internal panic: "+toString(rec))
-			}
-		}()
-		h(w, r)
-	}
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	return s.front.Handler(s.handleReadyz, s.handleModels, s.handleLoad, s.handlePredict)
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
 	s.mu.RLock()
 	n := len(s.models)
 	s.mu.RUnlock()
 	if n == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no models loaded"})
+		WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no models loaded"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "models": n})
+	WriteJSON(w, http.StatusOK, map[string]any{"status": "ready", "models": n})
 }
 
-func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
+func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
-	infos := make([]modelInfo, 0, len(s.models))
+	infos := make([]ModelInfo, 0, len(s.models))
 	for name, sm := range s.models {
-		env := sm.artifact.Envelope
-		infos = append(infos, modelInfo{
-			Name: name, Kind: string(env.Kind), Features: env.Features,
-			Seed: env.Seed, Revision: env.Revision, Checksum: env.Checksum,
-		})
+		infos = append(infos, modelInfo(name, &sm.artifact.Envelope))
 	}
 	s.mu.RUnlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	writeJSON(w, http.StatusOK, infos)
+	WriteJSON(w, http.StatusOK, infos)
 }
 
-func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "use POST")
-		return
-	}
-	if s.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	var req loadRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	if req.Path == "" {
-		httpError(w, http.StatusBadRequest, "missing \"path\"")
-		return
-	}
+func (s *Server) handleLoad(w http.ResponseWriter, _ *http.Request, req LoadRequest) {
 	a, err := s.LoadFile(req.Path, req.Name)
 	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, err.Error())
+		Error(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	name := req.Name
 	if name == "" {
 		name = a.Envelope.Name
 	}
-	writeJSON(w, http.StatusOK, modelInfo{
-		Name: name, Kind: string(a.Envelope.Kind), Features: a.Envelope.Features,
-		Seed: a.Envelope.Seed, Revision: a.Envelope.Revision, Checksum: a.Envelope.Checksum,
-	})
+	WriteJSON(w, http.StatusOK, modelInfo(name, &a.Envelope))
 }
 
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "use POST")
-		return
+func modelInfo(name string, env *model.Envelope) ModelInfo {
+	return ModelInfo{
+		Name: name, Kind: string(env.Kind), Features: env.Features,
+		Seed: env.Seed, Revision: env.Revision, Checksum: env.Checksum,
 	}
-	if s.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	// Backpressure: reject rather than queue unboundedly, shedding the
-	// lowest-priority tier first.
-	if !s.adm.Acquire(PriorityOf(r)) {
-		w.Header().Set("Retry-After", "1")
-		httpError(w, http.StatusTooManyRequests, "too many in-flight requests")
-		return
-	}
-	defer s.adm.Release()
+}
 
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-
+func (s *Server) handlePredict(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/predict/")
 	sm := s.model(name)
 	if sm == nil {
-		httpError(w, http.StatusNotFound, fmt.Sprintf("no model %q loaded", name))
+		Error(w, http.StatusNotFound, fmt.Sprintf("no model %q loaded", name))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", MaxRequestBytes))
-			return
-		}
-		httpError(w, http.StatusBadRequest, "read request body: "+err.Error())
+	body, ok := ReadBody(w, r)
+	if !ok {
 		return
 	}
 	// Chaos coverage of the decode boundary: injected errors surface as
@@ -506,30 +386,28 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// hostile input (a deterministic 400, which clients must not retry).
 	if o := fault.Check(fault.SitePredictDecode); o.Err != nil || o.Delay > 0 || o.Corrupt {
 		if werr := o.Wait(ctx); werr != nil {
-			s.deadline(w, werr)
+			s.front.Deadline(w, werr)
 			return
 		}
 		if o.Err != nil {
-			httpError(w, http.StatusInternalServerError, o.Err.Error())
+			Error(w, http.StatusInternalServerError, o.Err.Error())
 			return
 		}
 		body = o.CorruptBytes(body)
 	}
-	var req predictRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	req, ok := DecodePredict(w, body)
+	if !ok {
 		return
 	}
-	if len(req.Instances) == 0 {
-		httpError(w, http.StatusBadRequest, "no instances")
-		return
-	}
-	var chans []<-chan batchResponse
+	var (
+		chans []<-chan batchResponse
+		err   error
+	)
 	for {
 		dim := sm.scorer.Dim()
 		for i, inst := range req.Instances {
 			if len(inst) < dim {
-				httpError(w, http.StatusBadRequest,
+				Error(w, http.StatusBadRequest,
 					fmt.Sprintf("instance %d has %d features, model %q needs %d", i, len(inst), name, dim))
 				return
 			}
@@ -539,7 +417,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		// lookup and the enqueue. Unless the server itself is draining,
 		// resubmit the whole request to the entry that replaced it, so
 		// one response never mixes two models.
-		if !errors.Is(err, ErrDraining) || s.draining.Load() {
+		if !errors.Is(err, ErrDraining) || s.front.draining.Load() {
 			break
 		}
 		next := s.model(name)
@@ -549,11 +427,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		sm = next
 	}
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.deadline(w, err)
-			return
-		}
-		httpError(w, http.StatusServiceUnavailable, err.Error())
+		s.front.Fail(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	preds := make([]float64, len(chans))
@@ -564,21 +438,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		case <-ctx.Done():
 			// Abandon the wait: every pending reply channel is buffered,
 			// so the batcher never blocks delivering to a gone caller.
-			s.deadline(w, ctx.Err())
+			s.front.Deadline(w, ctx.Err())
 			return
 		}
 		if resp.err != nil {
-			if errors.Is(resp.err, context.DeadlineExceeded) || errors.Is(resp.err, context.Canceled) {
-				s.deadline(w, resp.err)
-				return
-			}
-			httpError(w, http.StatusInternalServerError, resp.err.Error())
+			s.front.Fail(w, http.StatusInternalServerError, resp.err)
 			return
 		}
 		preds[i] = resp.value
 	}
 	instances.Add(int64(len(preds)))
-	writeJSON(w, http.StatusOK, predictResponse{
+	WriteJSON(w, http.StatusOK, PredictResponse{
 		Model: name, Kind: string(sm.artifact.Envelope.Kind), Predictions: preds,
 	})
 }
@@ -598,27 +468,9 @@ func (sm *servedModel) submitAll(ctx context.Context, instances [][]float64) ([]
 	return chans, nil
 }
 
-// deadline answers 504 for a request whose deadline expired in the
-// serving path and counts it.
-func (s *Server) deadline(w http.ResponseWriter, err error) {
-	deadlineExceeded.Inc()
-	httpError(w, http.StatusGatewayTimeout, "request deadline exceeded: "+err.Error())
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	data, err := obs.SnapshotJSON()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(append(data, '\n')) //nolint:errcheck — nothing to do on a failed reply write
-}
-
 // StartDraining flips readiness off so load balancers stop routing here;
 // requests already accepted keep being served.
-func (s *Server) StartDraining() { s.draining.Store(true) }
+func (s *Server) StartDraining() { s.front.StartDraining() }
 
 // Close drains every model queue and releases the registry. Each queue
 // gets Config.DrainTimeout to empty; one that cannot (a stalled scorer)
@@ -644,23 +496,4 @@ func (s *Server) Close() {
 		}(sm)
 	}
 	wg.Wait()
-}
-
-// writeJSON marshals before committing the status line: a value JSON
-// cannot represent (a +Inf prediction from an overflowing instance,
-// found by FuzzPredictHandler) becomes a clean 500 instead of a 200
-// header followed by an empty body.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		data, _ = json.Marshal(map[string]string{"error": "encode response: " + err.Error()})
-		status = http.StatusInternalServerError
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(data, '\n')) //nolint:errcheck — nothing to do on a failed reply write
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
 }

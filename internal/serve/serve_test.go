@@ -56,15 +56,15 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-func postPredict(t *testing.T, url, name string, instances [][]float64) (int, predictResponse) {
+func postPredict(t *testing.T, url, name string, instances [][]float64) (int, PredictResponse) {
 	t.Helper()
-	body, _ := json.Marshal(predictRequest{Instances: instances})
+	body, _ := json.Marshal(PredictRequest{Instances: instances})
 	resp, err := http.Post(url+"/predict/"+name, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("POST /predict/%s: %v", name, err)
 	}
 	defer resp.Body.Close()
-	var pr predictResponse
+	var pr PredictResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
 			t.Fatalf("decode response: %v", err)
@@ -98,7 +98,7 @@ func TestBatchingDeterminism(t *testing.T) {
 						wg.Add(1)
 						go func(i int) {
 							defer wg.Done()
-							body, _ := json.Marshal(predictRequest{Instances: [][]float64{tr.Probes.Row(i)}})
+							body, _ := json.Marshal(PredictRequest{Instances: [][]float64{tr.Probes.Row(i)}})
 							resp, err := http.Post(ts.URL+"/predict/"+string(tr.Kind), "application/json", bytes.NewReader(body))
 							if err != nil {
 								errs <- err
@@ -109,7 +109,7 @@ func TestBatchingDeterminism(t *testing.T) {
 								errs <- fmt.Errorf("probe %d: status %d", i, resp.StatusCode)
 								return
 							}
-							var pr predictResponse
+							var pr PredictResponse
 							if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
 								errs <- err
 								return
@@ -241,12 +241,12 @@ func TestBackpressure429(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	s.adm.inflight.Store(1) // occupy the only slot
+	s.front.adm.inflight.Store(1) // occupy the only slot
 	status, _ := postPredict(t, ts.URL, "ridge", [][]float64{make([]float64, 8)})
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", status)
 	}
-	s.adm.inflight.Store(0)
+	s.front.adm.inflight.Store(0)
 	status, _ = postPredict(t, ts.URL, "ridge", [][]float64{make([]float64, 8)})
 	if status != http.StatusOK {
 		t.Fatalf("after releasing the slot: status = %d, want 200", status)
@@ -316,7 +316,7 @@ func TestHotLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	body, _ := json.Marshal(loadRequest{Path: path})
+	body, _ := json.Marshal(LoadRequest{Path: path})
 	resp, err := http.Post(ts.URL+"/models/load", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestHotLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mresp.Body.Close()
-	var infos []modelInfo
+	var infos []ModelInfo
 	if err := json.NewDecoder(mresp.Body).Decode(&infos); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestHotLoad(t *testing.T) {
 	}
 
 	// Loading a missing file fails without disturbing the registry.
-	body, _ = json.Marshal(loadRequest{Path: path + ".missing"})
+	body, _ = json.Marshal(LoadRequest{Path: path + ".missing"})
 	resp2, err := http.Post(ts.URL+"/models/load", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/serve"
 	"repro/internal/svm"
 )
 
@@ -72,7 +71,7 @@ type Config struct {
 	// Nu is the one-class outlier fraction, default 0.1.
 	Nu float64
 	// Kernel defaults to RBF with gamma = 1/dim. Must be persistable
-	// (model.SpecOf) when Registry or Publish is set.
+	// (model.SpecOf) when Publish is set.
 	Kernel kernel.Kernel
 	// MinRefit is the minimum number of newly selected samples since
 	// the last refresh before a drift signal may trigger one, default 8.
@@ -87,12 +86,10 @@ type Config struct {
 	// ModelName is the registry name refreshed models are published
 	// under, default "stream-oneclass".
 	ModelName string
-	// Registry, when set, receives every refreshed model via an atomic
-	// Load — the zero-dropped-requests hot-swap path.
-	Registry *serve.Server
-	// Publish, when set, receives every refreshed model's artifact
-	// (cmd/edaloop uses it to write artifact files and push them to a
-	// remote edaserved).
+	// Publish, when set, receives every refreshed model's artifact.
+	// Loading it into a serve.Server is the zero-dropped-requests
+	// hot-swap path; cmd/edaloop also writes artifact files and pushes
+	// them to a remote edaserved.
 	Publish func(*model.Artifact) error
 }
 
@@ -376,27 +373,18 @@ func (l *Loop) refresh(ctx context.Context, at int, reason string) (bool, error)
 	return true, nil
 }
 
-// publish pushes the refreshed model through the serving registry
-// (atomic swap; in-flight requests finish on the old model) and the
-// external publish hook.
+// publish hands the refreshed model's artifact to the publish hook.
 func (l *Loop) publish(m *svm.OneClass) error {
 	cfg := &l.cfg
-	if cfg.Registry == nil && cfg.Publish == nil {
+	if cfg.Publish == nil {
 		return nil
 	}
 	a, err := model.Encode(m, model.Meta{Name: cfg.ModelName, Seed: cfg.Seed})
 	if err != nil {
 		return fmt.Errorf("stream: encode refreshed model: %w", err)
 	}
-	if cfg.Registry != nil {
-		if err := cfg.Registry.Load(cfg.ModelName, a); err != nil {
-			return fmt.Errorf("stream: hot-swap %q: %w", cfg.ModelName, err)
-		}
-	}
-	if cfg.Publish != nil {
-		if err := cfg.Publish(a); err != nil {
-			return fmt.Errorf("stream: publish %q: %w", cfg.ModelName, err)
-		}
+	if err := cfg.Publish(a); err != nil {
+		return fmt.Errorf("stream: publish %q: %w", cfg.ModelName, err)
 	}
 	return nil
 }

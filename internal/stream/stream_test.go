@@ -17,6 +17,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/kernel"
 	"repro/internal/linalg"
+	"repro/internal/model"
 	"repro/internal/parallel"
 	"repro/internal/serve"
 	"repro/internal/svm"
@@ -290,8 +291,8 @@ func TestLoopHotSwapZeroDroppedRequests(t *testing.T) {
 
 	cfg := testConfig(t, 42)
 	cfg.Source = &slowSource{Source: cfg.Source, pause: time.Millisecond}
-	cfg.Registry = srv
 	cfg.ModelName = "stream-oneclass"
+	cfg.Publish = func(a *model.Artifact) error { return srv.Load(cfg.ModelName, a) }
 	var published atomic.Int64
 	l, err := New(cfg)
 	if err != nil {

@@ -27,6 +27,19 @@ import (
 // modelling question, which is why the policy here is always Exact and
 // never a tolerance.
 
+// ShippedServeConfig is edaserved's six flag defaults as one
+// serve.Config: the configuration a deployed node runs, and the one the
+// "shipped" HTTP lanes test (cmd/edaserved's tests pin every field to
+// its flag's default).
+var ShippedServeConfig = serve.Config{
+	MaxBatch:       16,
+	MaxWait:        2 * time.Millisecond,
+	MaxInFlight:    256,
+	CacheRows:      1024,
+	RequestTimeout: 10 * time.Second,
+	DrainTimeout:   10 * time.Second,
+}
+
 // DiffWorkerCounts are the worker-pool sizes every batch path is
 // exercised at. 1 forces the serial path, 2 exercises striping, 8
 // exceeds the row count of small probe sets so some workers go idle.
@@ -97,7 +110,7 @@ func DiffPaths(m any, probes *linalg.Matrix) error {
 		for _, cfg := range []serve.Config{
 			{MaxBatch: 1},
 			{MaxBatch: 8, MaxWait: time.Millisecond},
-			{MaxBatch: 16, MaxWait: 2 * time.Millisecond, CacheRows: 1024},
+			ShippedServeConfig,
 		} {
 			if err := diffViaHTTP(art, cfg, sub, want); err != nil {
 				return fmt.Errorf("http path (maxBatch=%d cacheRows=%d): %w", cfg.MaxBatch, cfg.CacheRows, err)
@@ -267,7 +280,7 @@ func diffViaHTTP(art *model.Artifact, cfg serve.Config, x *linalg.Matrix, want [
 	for i := range instances {
 		instances[i] = x.Row(i)
 	}
-	body, err := json.Marshal(map[string]any{"instances": instances})
+	body, err := json.Marshal(serve.PredictRequest{Instances: instances})
 	if err != nil {
 		return fmt.Errorf("marshal request: %w", err)
 	}
@@ -278,9 +291,7 @@ func diffViaHTTP(art *model.Artifact, cfg serve.Config, x *linalg.Matrix, want [
 		if rec.Code != http.StatusOK {
 			return fmt.Errorf("pass %d: status %d: %s", pass, rec.Code, rec.Body.String())
 		}
-		var resp struct {
-			Predictions []float64 `json:"predictions"`
-		}
+		var resp serve.PredictResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			return fmt.Errorf("pass %d: unmarshal response: %w", pass, err)
 		}

@@ -104,7 +104,7 @@ func matrixRows(x *linalg.Matrix) [][]float64 {
 
 // clusterPredict posts one predict request through the router handler.
 func clusterPredict(h http.Handler, name string, instances [][]float64) ([]float64, error) {
-	body, err := json.Marshal(map[string]any{"instances": instances})
+	body, err := json.Marshal(serve.PredictRequest{Instances: instances})
 	if err != nil {
 		return nil, fmt.Errorf("marshal request: %w", err)
 	}
@@ -114,9 +114,7 @@ func clusterPredict(h http.Handler, name string, instances [][]float64) ([]float
 	if rec.Code != http.StatusOK {
 		return nil, fmt.Errorf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp struct {
-		Predictions []float64 `json:"predictions"`
-	}
+	var resp serve.PredictResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		return nil, fmt.Errorf("unmarshal response: %w", err)
 	}

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Bounded fuzz sweep over the untrusted-input decoders: model artifact
 # decoding (internal/model.FuzzModelDecode), the predict request handler
-# (internal/serve.FuzzPredictHandler), and benchmark-dataset artifact
-# decoding (internal/datasets.FuzzDatasetDecode). Each
+# of a single node (internal/serve.FuzzPredictHandler) and of the
+# cluster router (internal/serve/cluster.FuzzRouterPredict), and
+# benchmark-dataset artifact decoding
+# (internal/datasets.FuzzDatasetDecode). Each
 # target runs for FUZZTIME (default 30s) from its committed seed corpus;
 # any crasher Go writes to testdata/fuzz/ fails the run and should be
 # committed as a regression input once fixed.
@@ -21,6 +23,7 @@ FUZZTIME="${FUZZTIME:-30s}"
 targets=(
 	"repro/internal/model FuzzModelDecode"
 	"repro/internal/serve FuzzPredictHandler"
+	"repro/internal/serve/cluster FuzzRouterPredict"
 	"repro/internal/datasets FuzzDatasetDecode"
 )
 

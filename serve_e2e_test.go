@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/apps/modelzoo"
 	"repro/internal/serve"
+	"repro/internal/testkit"
 )
 
 func TestServeEndToEnd(t *testing.T) {
@@ -56,7 +57,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}{
 		{"serial/maxBatch=1", serve.Config{MaxBatch: 1, CacheRows: 0}},
 		{"batched/maxBatch=8", serve.Config{MaxBatch: 8, MaxWait: time.Millisecond, CacheRows: 128}},
-		{"shipped/edaserved-defaults", serve.Config{MaxBatch: 16, MaxWait: 2 * time.Millisecond, CacheRows: 1024}},
+		{"shipped/edaserved-defaults", testkit.ShippedServeConfig},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,7 +117,7 @@ func TestServeEndToEnd(t *testing.T) {
 }
 
 func predictOne(baseURL, name string, x []float64) (float64, error) {
-	body, err := json.Marshal(map[string][][]float64{"instances": {x}})
+	body, err := json.Marshal(serve.PredictRequest{Instances: [][]float64{x}})
 	if err != nil {
 		return 0, err
 	}
@@ -128,9 +129,7 @@ func predictOne(baseURL, name string, x []float64) (float64, error) {
 	if resp.StatusCode != http.StatusOK {
 		return 0, fmt.Errorf("status %d", resp.StatusCode)
 	}
-	var pr struct {
-		Predictions []float64 `json:"predictions"`
-	}
+	var pr serve.PredictResponse
 	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
 		return 0, err
 	}
