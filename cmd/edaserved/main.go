@@ -11,6 +11,10 @@
 //	          [-request-timeout d] [-chaos-seed N] [-chaos-err p]
 //	          [-chaos-latency-rate p] [-chaos-latency d] [-chaos-corrupt p]
 //
+// Each model's batcher scores the rows already queued, up to -max-batch,
+// as soon as it is free, so no batch waits for more rows. -max-wait is
+// accepted and ignored.
+//
 // Train artifacts with `edamine -save-model DIR models`, then:
 //
 //	edaserved -model-dir DIR
@@ -51,8 +55,8 @@ func (m *modelList) Set(v string) error { *m = append(*m, v); return nil }
 var (
 	addr         = flag.String("addr", ":8080", "listen address")
 	modelDir     = flag.String("model-dir", "", "load every *.model.json artifact in this directory at boot")
-	maxBatch     = flag.Int("max-batch", 16, "micro-batch size cap per model (1 disables batching)")
-	maxWait      = flag.Duration("max-wait", 2*time.Millisecond, "how long an incomplete batch waits for more requests")
+	maxBatch     = flag.Int("max-batch", 16, "most rows scored in one call per model (1 disables batching)")
+	maxWait      = flag.Duration("max-wait", 2*time.Millisecond, "ignored: batches never wait for more rows (deprecated)")
 	maxInflight  = flag.Int("max-inflight", 256, "concurrent predict requests before 429 backpressure")
 	cacheRows    = flag.Int("cache-rows", 1024, "score-memo capacity (input rows) per exact kernel model (0 disables)")
 	workers      = flag.Int("workers", 0, "worker goroutines for the compute pool (0 = REPRO_WORKERS env or GOMAXPROCS)")

@@ -83,7 +83,7 @@ func TestHotReloadPurgesKernelRows(t *testing.T) {
 // approx.* observability reflecting it, and its HTTP
 // predictions bit-identical to in-process scoring.
 func TestCompiledModelSkipsCache(t *testing.T) {
-	s := New(Config{MaxBatch: 4, MaxWait: time.Millisecond, CacheRows: 64})
+	s := New(Config{MaxBatch: 4, CacheRows: 64})
 	t.Cleanup(s.Close)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -49,10 +50,11 @@ type batchResponse struct {
 
 // batcher is the micro-batching queue in front of one served model. A
 // single goroutine drains the queue: it blocks for the first request,
-// then gathers more until the batch is full (maxBatch) or the oldest
-// request has waited maxWait, scores the whole batch through one
-// scoreFunc call — amortizing kernel/Gram evaluation across concurrent
-// requests — and delivers each result to its caller.
+// takes whatever else is already queued (up to maxBatch rows), scores
+// that batch through one scoreFunc call and delivers each result to its
+// caller. Batching is load-driven: a lone request is scored at once,
+// and requests that arrive while a batch is scored form the next one,
+// so kernel/Gram evaluation is amortized exactly when requests wait.
 //
 // Batching changes only the grouping of work, never the arithmetic:
 // scoreFunc is bit-identical per row regardless of batch composition,
@@ -62,7 +64,6 @@ type batcher struct {
 	score    scoreFunc
 	dim      int
 	maxBatch int
-	maxWait  time.Duration
 	queue    chan *batchRequest
 
 	// baseCtx is the root of every batch's scoring context; cancel is
@@ -80,19 +81,15 @@ type batcher struct {
 	done   chan struct{}
 }
 
-func newBatcher(score scoreFunc, dim, maxBatch int, maxWait time.Duration) *batcher {
+func newBatcher(score scoreFunc, dim, maxBatch int) *batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
-	}
-	if maxWait <= 0 {
-		maxWait = 2 * time.Millisecond
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	b := &batcher{
 		score:    score,
 		dim:      dim,
 		maxBatch: maxBatch,
-		maxWait:  maxWait,
 		queue:    make(chan *batchRequest, 4*maxBatch),
 		baseCtx:  ctx,
 		cancel:   cancel,
@@ -150,31 +147,16 @@ func (b *batcher) run() {
 	}
 }
 
-// gather collects requests after first until the batch is full or the
-// wait budget (measured from first's arrival) expires.
+// gather returns first plus the requests already queued behind it, up
+// to maxBatch. It never waits for more; on shutdown the same
+// non-blocking take drains the queue.
 func (b *batcher) gather(first *batchRequest) []*batchRequest {
 	batch := []*batchRequest{first}
-	if b.maxBatch == 1 {
-		return batch
-	}
-	deadline := time.NewTimer(b.maxWait)
-	defer deadline.Stop()
 	for len(batch) < b.maxBatch {
 		select {
 		case req := <-b.queue:
 			batch = append(batch, req)
-		case <-deadline.C:
-			return batch
-		case <-b.stop:
-			// Draining: take what is immediately available, don't wait.
-			for len(batch) < b.maxBatch {
-				select {
-				case req := <-b.queue:
-					batch = append(batch, req)
-				default:
-					return batch
-				}
-			}
+		default:
 			return batch
 		}
 	}
@@ -225,20 +207,10 @@ func (b *batcher) flush(batch []*batchRequest) {
 func scoreSafely(ctx context.Context, score scoreFunc, x *linalg.Matrix) (values []float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			values, err = nil, errors.New("serve: scoring panic: "+toString(r))
+			values, err = nil, fmt.Errorf("serve: scoring panic: %v", r)
 		}
 	}()
 	return score(ctx, x)
-}
-
-func toString(r any) string {
-	if e, ok := r.(error); ok {
-		return e.Error()
-	}
-	if s, ok := r.(string); ok {
-		return s
-	}
-	return "unknown panic"
 }
 
 // close stops accepting new requests, waits for the queue to drain, and

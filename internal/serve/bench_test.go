@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/apps/modelzoo"
 	"repro/internal/fault"
@@ -20,10 +19,12 @@ import (
 // BenchmarkServeThroughput measures end-to-end HTTP predict throughput
 // (requests routed through the micro-batcher, score memo off) at
 // 1, 8, and 64 concurrent clients against the SVC model — the kernel
-// kind whose Gram evaluation batching is meant to amortize. b.N counts
-// single-instance predict requests. scripts/bench.sh records the
-// results in BENCH_ci.json; scripts/loadgen.sh is the ad-hoc twin for
-// a live server.
+// kind whose Gram evaluation batching is meant to amortize. Batching is
+// load-driven, so one client scores one-row batches with no wait, and
+// more clients fill batches with the rows that queue while one is
+// scored. b.N counts single-instance predict requests. scripts/bench.sh
+// records the results in BENCH_ci.json; scripts/loadgen.sh is the
+// ad-hoc twin for a live server.
 func BenchmarkServeThroughput(b *testing.B) {
 	trained, err := modelzoo.TrainAll(testSeed, 96, 64)
 	if err != nil {
@@ -44,7 +45,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 	for _, clients := range []int{1, 8, 64} {
 		clients := clients
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			s := New(Config{MaxBatch: 16, MaxWait: 500 * time.Microsecond, CacheRows: 0})
+			s := New(Config{MaxBatch: 16, CacheRows: 0})
 			defer s.Close()
 			a, err := model.Encode(svc.Model, model.Meta{Name: "svc"})
 			if err != nil {
@@ -132,7 +133,7 @@ func BenchmarkServeThroughputFaultyBackend(b *testing.B) {
 	defer fault.Deactivate()
 
 	const clients = 8
-	s := New(Config{MaxBatch: 16, MaxWait: 500 * time.Microsecond})
+	s := New(Config{MaxBatch: 16})
 	defer s.Close()
 	a, err := model.Encode(svc.Model, model.Meta{Name: "svc"})
 	if err != nil {

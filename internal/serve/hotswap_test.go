@@ -56,7 +56,7 @@ func TestHotSwapRace(t *testing.T) {
 	}
 
 	// edaserved's flag defaults, so the swap races the shipped path.
-	s := New(Config{MaxBatch: 16, MaxWait: 2 * time.Millisecond, CacheRows: 1024})
+	s := New(Config{MaxBatch: 16, CacheRows: 1024})
 	t.Cleanup(s.Close)
 	if err := s.Load("", arts[0]); err != nil {
 		t.Fatal(err)

@@ -9,10 +9,11 @@
 //     boot (cmd/edaserved -model) and hot-load at runtime
 //     (POST /models/load), so a freshly trained artifact can enter a
 //     running fleet without a restart.
-//   - A micro-batching queue per model (see batcher.go) gathers
-//     concurrent single-sample requests into one scoring call, which
-//     amortizes kernel/Gram evaluation through internal/parallel. Knobs:
-//     max batch size and max queue wait.
+//   - A micro-batching queue per model (see batcher.go) scores the rows
+//     already waiting, up to Config.MaxBatch, in one call that amortizes
+//     kernel/Gram evaluation through internal/parallel. Batching is
+//     load-driven: a lone row is scored at once, and the rows that
+//     arrive while a batch is scored form the next batch.
 //   - A bounded score memo per kernel model (see cache.go) answers
 //     repeated inputs without scoring them again. Rows it misses go
 //     through the model's ScoreBatchInto, the package's one scoring
@@ -92,11 +93,12 @@ var (
 
 // Config controls the serving behavior.
 type Config struct {
-	// MaxBatch is the micro-batch size cap per model; 1 disables
-	// batching. Default 16.
+	// MaxBatch caps the rows one scoring call takes from a model's
+	// queue; 1 disables batching. Default 16.
 	MaxBatch int
-	// MaxWait is how long the batcher holds an incomplete batch open
-	// waiting for more requests. Default 2ms.
+	// Deprecated: MaxWait is ignored, because the batcher never holds a
+	// batch open. The field stays while cmd/edabench, the repository's
+	// benchmark, still sets it and pins edaserved's -max-wait flag.
 	MaxWait time.Duration
 	// MaxInFlight bounds concurrently served predict requests; excess
 	// requests get 429, lowest priority first (low tier sheds at 50% of
@@ -121,9 +123,6 @@ type Config struct {
 func (c *Config) defaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 256
@@ -199,7 +198,7 @@ func (s *Server) Load(name string, a *model.Artifact) error {
 	case *model.ApproxModel:
 		sm.compiled = true
 	}
-	sm.batcher = newBatcher(sm.scoreBatch, scorer.Dim(), s.cfg.MaxBatch, s.cfg.MaxWait)
+	sm.batcher = newBatcher(sm.scoreBatch, scorer.Dim(), s.cfg.MaxBatch)
 
 	s.mu.Lock()
 	old := s.models[name]

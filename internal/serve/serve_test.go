@@ -8,6 +8,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -82,7 +84,7 @@ func TestBatchingDeterminism(t *testing.T) {
 	for _, maxBatch := range []int{1, 4, 64} {
 		maxBatch := maxBatch
 		t.Run(fmt.Sprintf("maxBatch=%d", maxBatch), func(t *testing.T) {
-			s := newTestServer(t, Config{MaxBatch: maxBatch, MaxWait: time.Millisecond, CacheRows: 64})
+			s := newTestServer(t, Config{MaxBatch: maxBatch, CacheRows: 64})
 			ts := httptest.NewServer(s.Handler())
 			defer ts.Close()
 
@@ -137,7 +139,7 @@ func TestBatchingDeterminism(t *testing.T) {
 // TestMultiInstanceRequest: one request carrying the whole probe set
 // must score bit-identically too (instances batch with each other).
 func TestMultiInstanceRequest(t *testing.T) {
-	s := newTestServer(t, Config{MaxBatch: 8, MaxWait: time.Millisecond})
+	s := newTestServer(t, Config{MaxBatch: 8})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	for _, tr := range zoo(t) {
@@ -395,7 +397,7 @@ func TestBatcherDrain(t *testing.T) {
 		}
 		return out, nil
 	}
-	b := newBatcher(score, 1, 4, 50*time.Millisecond)
+	b := newBatcher(score, 1, 4)
 	const n = 32
 	chans := make([]<-chan batchResponse, n)
 	for i := 0; i < n; i++ {
@@ -422,30 +424,91 @@ func TestBatcherDrain(t *testing.T) {
 }
 
 // TestBatcherPanicRecovery: a scoring panic becomes a per-request error
-// and the batcher keeps serving.
+// that names the panic value, whatever its type, and the batcher keeps
+// serving.
 func TestBatcherPanicRecovery(t *testing.T) {
-	calls := 0
-	score := func(_ context.Context, x *linalg.Matrix) ([]float64, error) {
-		calls++
-		if calls == 1 {
-			panic("boom")
+	for _, v := range []any{"boom", 42} {
+		calls := 0
+		score := func(_ context.Context, x *linalg.Matrix) ([]float64, error) {
+			calls++
+			if calls == 1 {
+				panic(v)
+			}
+			return make([]float64, x.Rows), nil
 		}
-		return make([]float64, x.Rows), nil
+		b := newBatcher(score, 1, 1)
+		ch, err := b.submit(context.Background(), []float64{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp := <-ch; resp.err == nil || !strings.Contains(resp.err.Error(), fmt.Sprint(v)) {
+			t.Fatalf("panic(%#v) surfaced as error %v", v, resp.err)
+		}
+		ch, err = b.submit(context.Background(), []float64{2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp := <-ch; resp.err != nil {
+			t.Fatalf("batcher died after panic(%#v): %v", v, resp.err)
+		}
+		b.close()
 	}
-	b := newBatcher(score, 1, 1, time.Millisecond)
-	defer b.close()
-	ch, err := b.submit(context.Background(), []float64{1})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestIdleRequestNotHeld: a lone row is scored at once instead of
+// waiting for rows that do not come. MaxWait is ignored, so even a
+// minute-long one holds nothing open.
+func TestIdleRequestNotHeld(t *testing.T) {
+	s := newTestServer(t, Config{MaxBatch: 16, MaxWait: time.Minute, RequestTimeout: 5 * time.Second})
+	start := time.Now()
+	rec := predictVia(s.Handler(), "ridge", "", [][]float64{make([]float64, 8)})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("lone predict = %d (%s), want 200", rec.Code, rec.Body.String())
 	}
-	if resp := <-ch; resp.err == nil {
-		t.Fatal("panic was not surfaced as an error")
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("lone predict took %v, want well under 1s", d)
 	}
-	ch, err = b.submit(context.Background(), []float64{2})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestNextBatchFormsWhileScoring: the rows that queue while a batch is
+// being scored form the next batch, at most MaxBatch rows at a time,
+// and every row gets its own score back.
+func TestNextBatchFormsWhileScoring(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var sizes []int // written only by the batcher goroutine
+	score := func(_ context.Context, x *linalg.Matrix) ([]float64, error) {
+		sizes = append(sizes, x.Rows)
+		if len(sizes) == 1 {
+			close(entered)
+			<-release
+		}
+		out := make([]float64, x.Rows)
+		for i := range out {
+			out[i] = 2*x.Row(i)[0] + 1
+		}
+		return out, nil
 	}
-	if resp := <-ch; resp.err != nil {
-		t.Fatalf("batcher died after a panic: %v", resp.err)
+	b := newBatcher(score, 1, 16)
+	// Row 0 starts the blocked first batch; rows 1..20 queue behind it.
+	chans := make([]<-chan batchResponse, 21)
+	for i := range chans {
+		ch, err := b.submit(context.Background(), []float64{float64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans[i] = ch
+		if i == 0 {
+			<-entered
+		}
+	}
+	close(release)
+	for i, ch := range chans {
+		if resp := <-ch; resp.err != nil || resp.value != 2*float64(i)+1 {
+			t.Fatalf("row %d: %+v, want value %v", i, resp, 2*float64(i)+1)
+		}
+	}
+	b.close() // orders the batcher's writes to sizes before the read
+	if want := []int{1, 16, 4}; !slices.Equal(sizes, want) {
+		t.Fatalf("batch sizes %v, want %v", sizes, want)
 	}
 }

@@ -109,7 +109,7 @@ func DiffPaths(m any, probes *linalg.Matrix) error {
 		}
 		for _, cfg := range []serve.Config{
 			{MaxBatch: 1},
-			{MaxBatch: 8, MaxWait: time.Millisecond},
+			{MaxBatch: 8},
 			ShippedServeConfig,
 		} {
 			if err := diffViaHTTP(art, cfg, sub, want); err != nil {

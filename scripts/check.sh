@@ -46,6 +46,16 @@ for w in 1 2 8; do
 	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestHotSwapRace' ./internal/serve/
 done
 
+# Batches form from whatever is queued, so their composition follows
+# arrival timing; answers must stay bit-identical at every pool width,
+# which moves kernel.CrossGramInto across its serial/parallel cutover.
+echo "== load-driven batching at 1/2/8 workers (race) =="
+for w in 1 2 8; do
+	echo "-- REPRO_WORKERS=$w"
+	REPRO_WORKERS="$w" "$GO" test -race -count=1 \
+		-run 'TestBatchingDeterminism|TestMultiInstanceRequest|TestIdleRequestNotHeld|TestNextBatchFormsWhileScoring' ./internal/serve/
+done
+
 # The columnar arena's aliasing property (a buffer re-leased under a
 # different shape never aliases live data) must hold at every pool
 # width; the hammer leases/dirties/returns from every worker.

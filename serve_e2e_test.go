@@ -22,7 +22,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/apps/modelzoo"
 	"repro/internal/serve"
@@ -56,7 +55,7 @@ func TestServeEndToEnd(t *testing.T) {
 		cfg  serve.Config
 	}{
 		{"serial/maxBatch=1", serve.Config{MaxBatch: 1, CacheRows: 0}},
-		{"batched/maxBatch=8", serve.Config{MaxBatch: 8, MaxWait: time.Millisecond, CacheRows: 128}},
+		{"batched/maxBatch=8", serve.Config{MaxBatch: 8, CacheRows: 128}},
 		{"shipped/edaserved-defaults", testkit.ShippedServeConfig},
 	} {
 		tc := tc
