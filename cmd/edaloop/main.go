@@ -26,11 +26,13 @@
 // the identical fault sequence.
 //
 // With -addr the refreshed model is served over HTTP while the loop
-// runs (plus GET /loop/status for the live trajectory); with -push-url
-// each refresh is also written under -artifact-dir and hot-loaded into
-// the remote edaserved via POST /models/load. On SIGTERM/SIGINT the
-// loop drains gracefully: it stops at the next candidate boundary,
-// prints the trajectory summary, and exits 0.
+// runs (plus GET /loop/status for the live trajectory); with
+// -artifact-dir each refresh is also written to disk; with -push-url it
+// is sent, as the artifact's own bytes, to the PUT /models/{name} of a
+// remote edaserved or edarouter, which needs no filesystem in common
+// with the loop. On SIGTERM/SIGINT the loop drains gracefully: it stops
+// at the next candidate boundary, prints the trajectory summary, and
+// exits 0.
 package main
 
 import (
@@ -70,8 +72,8 @@ var (
 	modelName  = flag.String("model-name", "stream-oneclass", "registry name refreshed models are published under")
 
 	addr        = flag.String("addr", "", "serve the refreshed model over HTTP at this address while the loop runs")
-	artifactDir = flag.String("artifact-dir", "", "write each refreshed model artifact into this directory")
-	pushURL     = flag.String("push-url", "", "hot-load each refreshed artifact into the edaserved at this URL (requires -artifact-dir)")
+	artifactDir = flag.String("artifact-dir", "", "also write each refreshed model artifact into this directory")
+	pushURL     = flag.String("push-url", "", "send each refreshed artifact to PUT /models/{name} of the edaserved or edarouter at this URL")
 	jsonOut     = flag.Bool("json", false, "print the final trajectory as JSON instead of the summary")
 	workers     = flag.Int("workers", 0, "worker goroutines for the compute pool (0 = REPRO_WORKERS env or GOMAXPROCS)")
 	drainWait   = flag.Duration("drain-timeout", 10*time.Second, "deadline for the embedded server's drain on shutdown")
@@ -98,9 +100,6 @@ func main() {
 	}
 	if *workers > 0 {
 		parallel.SetWorkers(*workers)
-	}
-	if *pushURL != "" && *artifactDir == "" {
-		fatal(fmt.Errorf("-push-url requires -artifact-dir (the remote loads artifacts by path)"))
 	}
 	if *chaosErr > 0 || *chaosLatencyRate > 0 {
 		fault.Activate(fault.Uniform(*chaosSeed, fault.SiteConfig{
@@ -202,12 +201,12 @@ func main() {
 }
 
 // publisher builds the per-refresh hook: hot-swap the artifact into the
-// embedded registry (when serving with -addr), then write it under
-// -artifact-dir (atomic temp-file + rename, versioned by swap) and
-// hot-load it into the remote edaserved at -push-url. Returns nil when
-// there is nowhere to publish.
+// embedded registry (when serving with -addr), write it under
+// -artifact-dir (atomic temp-file + rename, versioned by swap), and
+// send its bytes to the remote at -push-url. Returns nil when there is
+// nowhere to publish.
 func publisher(registry *serve.Server) func(*model.Artifact) error {
-	if registry == nil && *artifactDir == "" {
+	if registry == nil && *artifactDir == "" && *pushURL == "" {
 		return nil
 	}
 	if *artifactDir != "" {
@@ -227,32 +226,30 @@ func publisher(registry *serve.Server) func(*model.Artifact) error {
 				return fmt.Errorf("hot-swap %q: %w", *modelName, err)
 			}
 		}
-		if *artifactDir == "" {
+		if *artifactDir == "" && push == nil {
 			return nil
 		}
 		data, err := a.Marshal()
 		if err != nil {
 			return err
 		}
-		// The latest artifact lives at a stable path so the remote can
-		// be pointed at one file; the rename keeps readers from ever
-		// seeing a half-written artifact.
-		path := filepath.Join(*artifactDir, fmt.Sprintf("%s.model.json", *modelName))
-		tmp := fmt.Sprintf("%s.tmp.%d", path, swap)
-		if err := os.WriteFile(tmp, data, 0o644); err != nil {
-			return err
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			return err
+		if *artifactDir != "" {
+			// The latest artifact lives at a stable path so an operator
+			// can boot a server from one file; the rename keeps readers
+			// from ever seeing a half-written artifact.
+			path := filepath.Join(*artifactDir, fmt.Sprintf("%s.model.json", *modelName))
+			tmp := fmt.Sprintf("%s.tmp.%d", path, swap)
+			if err := os.WriteFile(tmp, data, 0o644); err != nil {
+				return err
+			}
+			if err := os.Rename(tmp, path); err != nil {
+				return err
+			}
 		}
 		if push != nil {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			abs, err := filepath.Abs(path)
-			if err != nil {
-				return err
-			}
-			if _, err := push.TryLoad(ctx, abs, *modelName); err != nil {
+			if _, err := push.TryLoad(ctx, *modelName, data); err != nil {
 				return fmt.Errorf("push swap %d to %s: %w", swap, *pushURL, err)
 			}
 		}

@@ -2,9 +2,12 @@
 // sharded cluster router (internal/serve/cluster): consistent-hash
 // model→shard routing with replication, health-gated membership fed by
 // background readiness probes, batch fan-out across healthy owners,
-// and blue/green rollout through the replicas' /models/load. Its HTTP
-// front (wire types, priority-tiered admission, deadlines, error
-// replies, /healthz and /metrics) is edaserved's own serve.Front.
+// and blue/green rollout: PUT /models/{name} checks the artifact in the
+// body as a single node would, then forwards the same bytes to each
+// owner's PUT /models/{name} in ring order, so the router and the
+// replicas share no filesystem. Its HTTP front (wire types,
+// priority-tiered admission, deadlines, load checks, error replies,
+// /healthz and /metrics) is edaserved's own serve.Front.
 //
 // Usage:
 //

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/serve"
@@ -125,7 +126,7 @@ func main() {
 	if names := srv.Models(); len(names) > 0 {
 		fmt.Printf("edaserved: serving %d model(s): %s\n", len(names), strings.Join(names, ", "))
 	} else {
-		fmt.Println("edaserved: no models loaded; /readyz stays 503 until POST /models/load")
+		fmt.Println("edaserved: no models loaded; /readyz stays 503 until PUT /models/{name}")
 	}
 
 	httpSrv := &http.Server{
@@ -168,7 +169,10 @@ func loadModels(srv *serve.Server, models modelList, dir string) error {
 		if i := strings.IndexByte(spec, '='); i >= 0 {
 			name, path = spec[:i], spec[i+1:]
 		}
-		a, err := srv.LoadFile(path, name)
+		a, err := model.Load(path)
+		if err == nil {
+			err = srv.Load(name, a)
+		}
 		if err != nil {
 			return err
 		}
@@ -189,7 +193,10 @@ func loadModels(srv *serve.Server, models modelList, dir string) error {
 	}
 	sort.Strings(paths)
 	for _, path := range paths {
-		a, err := srv.LoadFile(path, "")
+		a, err := model.Load(path)
+		if err == nil {
+			err = srv.Load("", a)
+		}
 		if err != nil {
 			return err
 		}

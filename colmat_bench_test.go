@@ -66,7 +66,7 @@ func BenchmarkScoreBatchColumnar(b *testing.B) {
 	b.Run("alloc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			scores := oc.DecisionBatch(probes.X)
+			scores := oc.DecisionBatchInto(probes.X, make([]float64, probes.X.Rows))
 			sinkF = scores[0]
 		}
 	})

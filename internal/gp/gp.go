@@ -92,19 +92,13 @@ func (g *Regressor) Predict(x []float64) float64 {
 	return mu
 }
 
-// PredictBatch returns the posterior mean for every row of x, amortizing
-// the kernel evaluations through one CrossGram sweep (parallel across
-// rows). Each mean is combined exactly as in PredictVar
-// (mean + Dot(kx, alpha)), so the batch path is bit-identical to calling
-// Predict row by row.
-func (g *Regressor) PredictBatch(x *linalg.Matrix) []float64 {
-	return g.PredictBatchInto(x, make([]float64, x.Rows))
-}
-
-// PredictBatchInto is PredictBatch writing into a caller-provided slice
-// of length x.Rows; the cross-Gram scratch is leased from the columnar
-// arena, so a steady-state batch allocates nothing (alloc_test.go pins
-// this at 0 allocs/op).
+// PredictBatchInto writes the posterior mean for every row of x into
+// out (length x.Rows), amortizing the kernel evaluations through one
+// CrossGram sweep (parallel across rows). Each mean is combined exactly
+// as in PredictVar (mean + Dot(kx, alpha)), so the batch path is
+// bit-identical to calling Predict row by row. The cross-Gram scratch
+// is leased from the columnar arena, so a steady-state batch allocates
+// nothing (alloc_test.go pins this at 0 allocs/op).
 func (g *Regressor) PredictBatchInto(x *linalg.Matrix, out []float64) []float64 {
 	if len(out) != x.Rows {
 		panic("gp: PredictBatchInto output length mismatch")

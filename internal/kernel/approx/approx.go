@@ -349,18 +349,13 @@ func (l *Linear) scoreWithScratch(x, z []float64) float64 {
 	return s
 }
 
-// ScoreBatch scores every row of x; bit-identical to Score per row at
-// any worker count (the loop is serial — a compiled score is one dot
-// product, too cheap to farm out).
-func (l *Linear) ScoreBatch(x *linalg.Matrix) []float64 {
-	return l.ScoreBatchInto(x, make([]float64, x.Rows))
-}
-
-// ScoreBatchInto is ScoreBatch writing into a caller-provided slice of
-// length x.Rows. The folded Nyström path needs no scratch at all; the
-// RFF path leases one feature vector from the columnar arena for the
-// whole batch instead of allocating per row, so a steady-state batch
-// allocates nothing (alloc_test.go pins this at 0 allocs/op).
+// ScoreBatchInto scores every row of x into out (length x.Rows),
+// bit-identical to Score per row at any worker count (the loop is
+// serial — a compiled score is one dot product, too cheap to farm out).
+// The folded Nyström path needs no scratch at all; the RFF path leases
+// one feature vector from the columnar arena for the whole batch
+// instead of allocating per row, so a steady-state batch allocates
+// nothing (alloc_test.go pins this at 0 allocs/op).
 func (l *Linear) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 {
 	if len(out) != x.Rows {
 		panic("approx: ScoreBatchInto output length mismatch")

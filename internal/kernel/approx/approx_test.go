@@ -192,7 +192,7 @@ func TestCompileCollapsesExpansion(t *testing.T) {
 		}
 	}
 	// Batch path is bit-identical to the row path.
-	batch := lin.ScoreBatch(basis)
+	batch := lin.ScoreBatchInto(basis, make([]float64, basis.Rows))
 	for i := range batch {
 		if math.Float64bits(batch[i]) != math.Float64bits(lin.Score(basis.Row(i))) {
 			t.Fatalf("batch row %d not bit-identical", i)

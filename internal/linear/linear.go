@@ -90,16 +90,11 @@ func (r *Regression) Predict(x []float64) float64 {
 	return linalg.Dot(r.W, x) + r.B
 }
 
-// PredictBatch returns Predict for every row of x, striping rows across
-// the worker pool. Each row is scored by the same expression as Predict,
-// so the result is bit-identical at any worker count.
-func (r *Regression) PredictBatch(x *linalg.Matrix) []float64 {
-	return r.PredictBatchInto(x, make([]float64, x.Rows))
-}
-
-// PredictBatchInto is PredictBatch writing into a caller-provided slice
-// of length x.Rows. The serial path calls the scoring loop directly —
-// no closure, no goroutines — so a steady-state batch allocates nothing
+// PredictBatchInto writes Predict for every row of x into out (length
+// x.Rows), striping rows across the worker pool. Each row is scored by
+// the same expression as Predict, so the result is bit-identical at any
+// worker count. The serial path calls the scoring loop directly — no
+// closure, no goroutines — so a steady-state batch allocates nothing
 // (alloc_test.go pins this at 0 allocs/op).
 func (r *Regression) PredictBatchInto(x *linalg.Matrix, out []float64) []float64 {
 	if len(out) != x.Rows {

@@ -119,13 +119,14 @@ func (m *MapModel) HotThreshold() float64 {
 // scored independently, so any row permutation permutes the output
 // bit-identically — the invariance the conformance suite pins.
 func (m *MapModel) ScoreFeatures(x *linalg.Matrix) []float64 {
+	out := make([]float64, x.Rows)
 	switch m.Kind {
 	case KindGP:
-		return m.gp.PredictBatch(x)
+		return m.gp.PredictBatchInto(x, out)
 	case KindSVC:
-		return m.svc.DecisionBatch(x)
+		return m.svc.DecisionBatchInto(x, out)
 	default:
-		return m.ridge.PredictBatch(x)
+		return m.ridge.PredictBatchInto(x, out)
 	}
 }
 

@@ -86,15 +86,10 @@ func (m *ApproxModel) ScoreRow(x []float64) float64 {
 	return s
 }
 
-// ScoreBatch scores every row of x, bit-identical to ScoreRow per row.
-func (m *ApproxModel) ScoreBatch(x *linalg.Matrix) []float64 {
-	return m.ScoreBatchInto(x, make([]float64, x.Rows))
-}
-
-// ScoreBatchInto is ScoreBatch writing into a caller-provided slice of
-// length x.Rows, delegating the raw scores to the compiled scorer's
-// zero-alloc batch path before applying the source kind's output
-// mapping in place.
+// ScoreBatchInto scores every row of x into out (length x.Rows),
+// bit-identical to ScoreRow per row. It delegates the raw scores to the
+// compiled scorer's zero-alloc batch path before applying the source
+// kind's output mapping in place.
 func (m *ApproxModel) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 {
 	out = m.Lin.ScoreBatchInto(x, out)
 	if m.SourceKind == KindSVC {

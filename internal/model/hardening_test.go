@@ -321,7 +321,8 @@ func TestValidateModelCatchesNonFinite(t *testing.T) {
 
 // TestOversizedArtifactRejected: both Decode (bytes) and Load (file)
 // refuse oversized envelopes with ErrOversize before allocating for
-// the parse.
+// the parse. Load stops one byte past the cap even on a device that
+// reports size 0 and never ends.
 func TestOversizedArtifactRejected(t *testing.T) {
 	big := make([]byte, MaxArtifactBytes+1)
 	if _, err := Decode(big); !errors.Is(err, ErrOversize) {
@@ -334,6 +335,13 @@ func TestOversizedArtifactRejected(t *testing.T) {
 	}
 	if _, err := Load(path); !errors.Is(err, ErrOversize) {
 		t.Fatalf("Load(oversized) = %v, want ErrOversize", err)
+	}
+
+	if _, err := os.Stat("/dev/zero"); err != nil {
+		t.Skipf("no /dev/zero: %v", err)
+	}
+	if _, err := Load("/dev/zero"); !errors.Is(err, ErrOversize) {
+		t.Fatalf("Load(/dev/zero) = %v, want ErrOversize", err)
 	}
 }
 

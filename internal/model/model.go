@@ -38,6 +38,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/fault"
@@ -76,8 +77,9 @@ var (
 	// scorer could not run safely: non-finite parameters, out-of-range
 	// feature indices, missing tree children, absurd dimensions.
 	ErrInvalid = errors.New("model: invalid payload")
-	// ErrOversize marks an artifact larger than MaxArtifactBytes; Load
-	// refuses it before reading, Decode before parsing.
+	// ErrOversize marks an artifact larger than MaxArtifactBytes. Decode
+	// refuses it before parsing; Load reads at most one byte past the
+	// cap, so a file, device or FIFO of any length gets this error.
 	ErrOversize = errors.New("model: artifact exceeds size limit")
 )
 
@@ -240,13 +242,16 @@ func Decode(data []byte) (*Artifact, error) {
 	return &Artifact{Envelope: env, Model: m}, nil
 }
 
-// Load reads and decodes the artifact file at path, refusing oversized
-// files before reading them into memory.
+// Load reads and decodes the artifact file at path. It reads at most
+// MaxArtifactBytes+1 bytes and leaves the size check to Decode: a
+// stat'd size says nothing about a device or a FIFO, which report 0.
 func Load(path string) (*Artifact, error) {
-	if fi, err := os.Stat(path); err == nil && fi.Size() > MaxArtifactBytes {
-		return nil, fmt.Errorf("%s: %w: %d bytes > %d", path, ErrOversize, fi.Size(), MaxArtifactBytes)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("model: read artifact: %w", err)
 	}
-	data, err := os.ReadFile(path)
+	defer f.Close()
+	data, err := io.ReadAll(io.LimitReader(f, MaxArtifactBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("model: read artifact: %w", err)
 	}

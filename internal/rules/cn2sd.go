@@ -414,16 +414,11 @@ func (rs *RuleSet) PredictAll(d *dataset.Dataset) []float64 {
 	return out
 }
 
-// PredictBatch returns Predict for every row of x, striping rows across
-// the worker pool. Rule matching is read-only on the fitted set, so the
-// result is bit-identical at any worker count.
-func (rs *RuleSet) PredictBatch(x *linalg.Matrix) []float64 {
-	return rs.PredictBatchInto(x, make([]float64, x.Rows))
-}
-
-// PredictBatchInto is PredictBatch writing into a caller-provided slice
-// of length x.Rows. The serial path calls the matching loop directly —
-// no closure, no goroutines — so a steady-state batch allocates nothing
+// PredictBatchInto writes Predict for every row of x into out (length
+// x.Rows), striping rows across the worker pool. Rule matching is
+// read-only on the fitted set, so the result is bit-identical at any
+// worker count. The serial path calls the matching loop directly — no
+// closure, no goroutines — so a steady-state batch allocates nothing
 // (alloc_test.go pins this at 0 allocs/op).
 func (rs *RuleSet) PredictBatchInto(x *linalg.Matrix, out []float64) []float64 {
 	if len(out) != x.Rows {

@@ -28,7 +28,7 @@ func synthSVC(t *testing.T, gamma float64, seed int64) *svm.SVC {
 }
 
 // TestHotReloadPurgesKernelRows is the stale-memo regression test:
-// after /models/load replaces a model, a prediction for an input whose
+// after a hot-load replaces a model, a prediction for an input whose
 // score was memoized under the old model must come from the new model —
 // never from the old memo. The replacement owns a fresh memo, so the old
 // entries are unreachable by construction.

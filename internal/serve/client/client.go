@@ -1,10 +1,10 @@
 // Package client is the resilient, typed HTTP client for the serving
 // layer (internal/serve). Its types come from serve, which declares the
 // wire format once for both servers (serve.PredictRequest,
-// serve.PredictResponse, serve.ModelInfo, serve.LoadRequest,
-// serve.ErrorBody). It adds per-attempt timeouts, capped exponential
-// backoff with deterministic jitter, a retry budget, and a three-state
-// circuit breaker. It is the caller-side half of the resilience story —
+// serve.PredictResponse, serve.ModelInfo, serve.ErrorBody); an artifact
+// travels as its own schema-v1 envelope bytes. It adds per-attempt
+// timeouts, capped exponential backoff with deterministic jitter, a
+// retry budget, and a three-state circuit breaker. It is the caller-side half of the resilience story —
 // the server sheds, times out, and isolates; the client retries what is
 // safe to retry, backs off instead of hammering, and stops calling a
 // host that is clearly down.
@@ -33,6 +33,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"sync"
 	"time"
 
@@ -413,15 +414,13 @@ func (c *Client) TryReadyz(ctx context.Context) error {
 	return c.Try(ctx, http.MethodGet, "/readyz", nil, nil, "")
 }
 
-// TryLoad is a single-attempt POST /models/load: hot-load the artifact
-// at path (a path on the server's filesystem) under name.
-func (c *Client) TryLoad(ctx context.Context, path, name string) (*serve.ModelInfo, error) {
-	body, err := json.Marshal(serve.LoadRequest{Path: path, Name: name})
-	if err != nil {
-		return nil, fmt.Errorf("client: marshal request: %w", err)
-	}
+// TryLoad is a single-attempt PUT /models/{name}: hot-load the artifact
+// whose schema-v1 envelope bytes are data (model.Artifact.Marshal)
+// under name. The name is path-escaped, so the server registers exactly
+// the name the caller gave.
+func (c *Client) TryLoad(ctx context.Context, name string, data []byte) (*serve.ModelInfo, error) {
 	var out serve.ModelInfo
-	if err := c.Try(ctx, http.MethodPost, "/models/load", body, &out, ""); err != nil {
+	if err := c.Try(ctx, http.MethodPut, "/models/"+url.PathEscape(name), data, &out, ""); err != nil {
 		return nil, err
 	}
 	return &out, nil

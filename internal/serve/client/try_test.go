@@ -6,9 +6,11 @@ package client
 // enough structure for the router to decide propagate-vs-failover.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -115,11 +117,20 @@ func TestTryPredictPriorityOverride(t *testing.T) {
 	}
 }
 
-// TestTryLoadAndModels: the typed load/list round trip.
+// TestTryLoadAndModels: the typed load/list round trip. A load is one
+// PUT /models/{name} whose body is exactly the bytes the caller passed,
+// under exactly the name it passed, even one a URL must escape.
 func TestTryLoadAndModels(t *testing.T) {
+	artifact := []byte(`{"schema_version": 1, "kind": "ridge"}` + "\n")
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
-		case "/models/load":
+		case "/models/m", "/models/m%?#":
+			body, err := io.ReadAll(r.Body)
+			if r.Method != http.MethodPut || err != nil || !bytes.Equal(body, artifact) {
+				t.Errorf("load request: %s with body %q (%v), want PUT with %q", r.Method, body, err, artifact)
+				w.WriteHeader(http.StatusBadRequest)
+				return
+			}
 			fmt.Fprintln(w, `{"name":"m","kind":"ridge","features":8,"seed":7,"payload_sha256":"abc"}`)
 		case "/models":
 			fmt.Fprintln(w, `[{"name":"m","kind":"ridge","features":8,"seed":7,"payload_sha256":"abc"}]`)
@@ -130,12 +141,15 @@ func TestTryLoadAndModels(t *testing.T) {
 	defer ts.Close()
 	c := New(Config{BaseURL: ts.URL})
 	ctx := context.Background()
-	info, err := c.TryLoad(ctx, "/tmp/m.model.json", "m")
+	info, err := c.TryLoad(ctx, "m", artifact)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Name != "m" || info.Kind != "ridge" || info.Checksum != "abc" {
 		t.Fatalf("TryLoad decoded %+v", info)
+	}
+	if _, err := c.TryLoad(ctx, "m%?#", artifact); err != nil {
+		t.Fatalf("TryLoad of a name a URL must escape: %v", err)
 	}
 	models, err := c.TryModels(ctx)
 	if err != nil {

@@ -42,11 +42,14 @@
 //     Failover across replicas happens only for failures where the
 //     server never answered (transport errors, breaker fast-fails) or
 //     answered 5xx.
-//   - Blue/green rollout: POST /models/load on the router walks the
-//     model's owner replicas in ring order, hot-loading the artifact
-//     into one replica at a time through the existing /models/load.
-//     Each replica swaps atomically and the other owners keep serving,
-//     so a version rollout drops zero requests (cluster_smoke.sh and
+//   - Blue/green rollout: PUT /models/{name} on the router, whose body
+//     is the artifact itself, passes the same front checks as on a
+//     single node (a body model.Decode refuses reaches no replica),
+//     then walks the model's owner replicas in ring order, forwarding
+//     the same bytes to each replica's PUT /models/{name}. No replica
+//     shares a filesystem with the caller or the router. Each replica
+//     swaps atomically and the other owners keep serving, so a version
+//     rollout drops zero requests (cluster_smoke.sh and
 //     TestClusterRolloutZeroDrops drive this under live traffic).
 //   - Chaos: two injection sites (internal/fault). cluster.route fails
 //     or stalls the routing step itself; cluster.replica_down

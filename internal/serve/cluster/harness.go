@@ -24,8 +24,8 @@ import (
 //   - The router's clock is injectable (Config.Now); tests freeze it so
 //     breaker transitions can't depend on wall time.
 //   - LoadDirect registers a model on every owner in-process, skipping
-//     the filesystem round-trip of /models/load when a test only needs
-//     traffic, not rollout mechanics.
+//     the HTTP rollout (PUT /models/{name} on the router) when a test
+//     only needs traffic, not rollout mechanics.
 type Local struct {
 	Router   *Router
 	Servers  []*serve.Server

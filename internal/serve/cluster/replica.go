@@ -104,9 +104,10 @@ func (r *Replica) predict(ctx context.Context, model string, instances [][]float
 	return p, nil
 }
 
-// load hot-loads an artifact on this replica through its /models/load.
-func (r *Replica) load(ctx context.Context, path, name string) (*serve.ModelInfo, error) {
-	info, err := r.c.TryLoad(ctx, path, name)
+// load hot-loads the artifact bytes data under name on this replica
+// through its PUT /models/{name}.
+func (r *Replica) load(ctx context.Context, name string, data []byte) (*serve.ModelInfo, error) {
+	info, err := r.c.TryLoad(ctx, name, data)
 	if err != nil {
 		if client.StatusCode(err) == 0 {
 			r.noteFailure()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/serve/client"
@@ -134,7 +135,7 @@ func (rt *Router) Close() {
 //	GET  /readyz           200 while ≥1 replica is healthy and not draining
 //	                       (unhealthy replicas are re-probed inline)
 //	GET  /models           per-replica registry listing
-//	POST /models/load      blue/green rollout across the model's owners
+//	PUT  /models/{name}    blue/green rollout across the model's owners
 //	POST /predict/{model}  shard → fan out → merge
 func (rt *Router) Handler() http.Handler {
 	return rt.front.Handler(rt.handleReadyz, rt.handleModels, rt.handleLoad, rt.handlePredict)
@@ -198,7 +199,7 @@ func (rt *Router) handleModels(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, out)
 }
 
-// rolloutStep is one owner's outcome in the /models/load reply.
+// rolloutStep is one owner's outcome in the PUT /models/{name} reply.
 type rolloutStep struct {
 	Replica  int    `json:"replica"`
 	Base     string `json:"base"`
@@ -208,26 +209,20 @@ type rolloutStep struct {
 }
 
 // handleLoad is the blue/green rollout: walk the model's owners in ring
-// order, hot-loading the artifact into one replica at a time. Each
-// replica's registry swap is atomic and the remaining owners keep
-// serving the old version, so a rollout under live traffic drops
-// nothing; a request during the transition gets one version or the
-// other, both bit-exact for their artifact. 200 when every reachable
-// owner loaded; 502 when none did. Unlike a single node, the router
-// requires "name": ownership is computed from the model name, and the
-// router never reads the artifact itself.
-func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request, req serve.LoadRequest) {
-	if req.Name == "" {
-		serve.Error(w, http.StatusBadRequest, `missing "name": the router shards by model name`)
-		return
-	}
-	owners := rt.Owners(req.Name)
+// order, forwarding the artifact bytes the front accepted to one
+// replica at a time. Each replica's registry swap is atomic and the
+// remaining owners keep serving the old version, so a rollout under
+// live traffic drops nothing; a request during the transition gets one
+// version or the other, both bit-exact for their artifact. 200 when
+// any owner loaded; 502 when none did.
+func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request, name string, _ *model.Artifact, body []byte) {
+	owners := rt.Owners(name)
 	steps := make([]rolloutStep, 0, len(owners))
 	loaded := 0
 	for _, oi := range owners {
 		rep := rt.replicas[oi]
 		step := rolloutStep{Replica: rep.Index, Base: rep.Base}
-		info, err := rep.load(r.Context(), req.Path, req.Name)
+		info, err := rep.load(r.Context(), name, body)
 		if err != nil {
 			step.Error = err.Error()
 		} else {
@@ -245,7 +240,7 @@ func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request, req serve.L
 	} else {
 		rollouts.Inc()
 	}
-	serve.WriteJSON(w, status, map[string]any{"name": req.Name, "loaded": loaded, "replicas": steps})
+	serve.WriteJSON(w, status, map[string]any{"name": name, "loaded": loaded, "replicas": steps})
 }
 
 // chunkResult is one owner's share of a fanned-out batch.
@@ -272,7 +267,7 @@ func (rt *Router) handlePredict(ctx context.Context, w http.ResponseWriter, r *h
 	}
 
 	name := strings.TrimPrefix(r.URL.Path, "/predict/")
-	body, ok := serve.ReadBody(w, r)
+	body, ok := serve.ReadBody(w, r, serve.MaxRequestBytes)
 	if !ok {
 		return
 	}

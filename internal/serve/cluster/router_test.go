@@ -8,8 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,12 +24,13 @@ import (
 )
 
 // fakeReplica is a scripted stand-in for a serve.Server: always ready,
-// and answering predict with a fixed status while recording what it saw.
-// A predict for the model "stall" never answers: it waits for the
-// caller to give up.
+// accepting every load, and answering predict with a fixed status while
+// recording what it saw. A predict for the model "stall" never answers:
+// it waits for the caller to give up.
 type fakeReplica struct {
 	status   int // predict reply status; 200 serves real-looking predictions
 	hits     atomic.Int64
+	loads    atomic.Int64 // requests to /models/{name}
 	lastPrio atomic.Value // string: last X-Priority seen on predict
 }
 
@@ -40,6 +39,11 @@ func (f *fakeReplica) handler() http.Handler {
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, `{"status":"ready"}`)
+	})
+	mux.HandleFunc("/models/", func(w http.ResponseWriter, r *http.Request) {
+		f.loads.Add(1)
+		io.Copy(io.Discard, r.Body) //nolint:errcheck — test fake
+		fmt.Fprintln(w, `{"name":"m","kind":"fake","features":0,"seed":0,"payload_sha256":"fake"}`)
 	})
 	mux.HandleFunc("/predict/", func(w http.ResponseWriter, r *http.Request) {
 		f.hits.Add(1)
@@ -337,14 +341,24 @@ func TestPartitionShedsOwner(t *testing.T) {
 	}
 }
 
-// TestDrainingRefuses: a draining router answers 503 on readyz and
-// predict but keeps healthz alive.
+// TestDrainingRefuses: a draining router answers 503 on readyz,
+// predict and load, and no refused load reaches a replica, but it keeps
+// healthz alive.
 func TestDrainingRefuses(t *testing.T) {
-	rt, _ := fakeCluster(t, Config{Replication: 1}, http.StatusOK)
+	rt, fakes := fakeCluster(t, Config{Replication: 1}, http.StatusOK)
+	_, data := ridgeArtifact(t, "m", 1e-3)
 	rt.StartDraining()
 	h := rt.Handler()
 	if rec := postPredict(h, "m", oneRow, ""); rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("predict while draining: %d, want 503", rec.Code)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/models/m", bytes.NewReader(data)))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("load while draining: %d, want 503", rec.Code)
+	}
+	if got := fakes[0].loads.Load(); got != 0 {
+		t.Errorf("replica saw %d loads from a draining router, want 0", got)
 	}
 	for path, want := range map[string]int{"/readyz": 503, "/healthz": 200} {
 		req := httptest.NewRequest(http.MethodGet, path, nil)
@@ -356,9 +370,9 @@ func TestDrainingRefuses(t *testing.T) {
 	}
 }
 
-// ridgeArtifact trains a deterministic toy ridge model and saves it to
-// a temp artifact file, returning the path.
-func ridgeArtifact(t *testing.T, name string) (*model.Artifact, string) {
+// ridgeArtifact trains a deterministic toy ridge model at ridge penalty
+// lambda and returns it with its envelope bytes.
+func ridgeArtifact(t *testing.T, name string, lambda float64) (*model.Artifact, []byte) {
 	t.Helper()
 	x := linalg.NewMatrix(6, 2)
 	ys := []float64{1, 3, 2, 4, 6, 5}
@@ -369,7 +383,7 @@ func ridgeArtifact(t *testing.T, name string) (*model.Artifact, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := linear.FitRidge(d, 1e-3)
+	reg, err := linear.FitRidge(d, lambda)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,17 +395,14 @@ func ridgeArtifact(t *testing.T, name string) (*model.Artifact, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), name+".model.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return a, path
+	return a, data
 }
 
 // TestClusterLifecycle drives the real harness end to end: boot, load
-// via the router's blue/green /models/load, predict, readyz, models
-// listing, kill the primary (failover keeps answering), revive it, and
-// watch it rejoin.
+// via the router's blue/green PUT /models/{name} (after the same
+// refusals a single node makes, none of which reaches a replica),
+// predict, readyz, models listing, kill the primary (failover keeps
+// answering), revive it, watch it rejoin, and drain.
 func TestClusterLifecycle(t *testing.T) {
 	scfg := serve.Config{MaxBatch: 1}
 	lc, err := NewLocal(3, scfg, Config{Replication: 2, DownAfter: 1})
@@ -400,22 +411,41 @@ func TestClusterLifecycle(t *testing.T) {
 	}
 	defer lc.Close()
 	const name = "lifecycle-ridge"
-	art, path := ridgeArtifact(t, name)
+	art, data := ridgeArtifact(t, name, 1e-3)
 	h := lc.Router.Handler()
-
-	// Rollout through the router. Name is mandatory (sharding key).
-	for _, tc := range []struct {
-		body string
-		want int
-	}{
-		{`{"path": "` + path + `"}`, http.StatusBadRequest},
-		{`{"path": "` + path + `", "name": "` + name + `"}`, http.StatusOK},
-	} {
-		req := httptest.NewRequest(http.MethodPost, "/models/load", bytes.NewReader([]byte(tc.body)))
+	put := func(method, path string, body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		return rec
+	}
+
+	// Every replica is an in-process serve.Server, and the router's
+	// front counts under "cluster", so this counts the loads that reached
+	// a replica.
+	replicaLoads := obs.GetCounter("serve.models_load.requests")
+	for _, tc := range []struct {
+		name, method, path string
+		body               []byte
+		want               int
+	}{
+		{"truncated", http.MethodPut, "/models/" + name, data[:len(data)/2], http.StatusUnprocessableEntity},
+		{"oversized", http.MethodPut, "/models/" + name, make([]byte, model.MaxArtifactBytes+1), http.StatusRequestEntityTooLarge},
+		{"path body", http.MethodPut, "/models/" + name, []byte(`{"path": "/dev/zero"}`), http.StatusUnprocessableEntity},
+		{"POST", http.MethodPost, "/models/" + name, data, http.StatusMethodNotAllowed},
+		{"no name", http.MethodPut, "/models/", data, http.StatusBadRequest},
+		{"rollout", http.MethodPut, "/models/" + name, data, http.StatusOK},
+	} {
+		before := replicaLoads.Value()
+		rec := put(tc.method, tc.path, tc.body)
 		if rec.Code != tc.want {
-			t.Fatalf("load %s: status %d, want %d: %s", tc.body, rec.Code, tc.want, rec.Body.String())
+			t.Fatalf("%s: status %d, want %d: %s", tc.name, rec.Code, tc.want, rec.Body.String())
+		}
+		want := before
+		if tc.want == http.StatusOK {
+			want += int64(len(lc.Router.Owners(name)))
+		}
+		if got := replicaLoads.Value(); got != want {
+			t.Errorf("%s: replicas saw %d loads, want %d", tc.name, got-before, want-before)
 		}
 	}
 	if got := obs.GetCounter("cluster.rollouts").Value(); got == 0 {
@@ -489,6 +519,104 @@ func TestClusterLifecycle(t *testing.T) {
 		t.Errorf("revived primary not readmitted")
 	}
 	checkPredict("primary revived")
+
+	lc.Router.StartDraining()
+	if rec := put(http.MethodPut, "/models/"+name, data); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("load while draining: status %d, want 503", rec.Code)
+	}
+}
+
+// TestClusterRolloutZeroDrops: a blue/green rollout through the router
+// under live predict traffic drops nothing. While PUT /models/{name}
+// walks the owners, every answer is a 200 bit-identical to v1 or to v2;
+// once the rollout returns, every answer is v2's.
+func TestClusterRolloutZeroDrops(t *testing.T) {
+	lc, err := NewLocal(3, serve.Config{}, Config{Replication: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	const name = "rollout-ridge"
+	v1, _ := ridgeArtifact(t, name, 1e-3)
+	v2, data := ridgeArtifact(t, name, 1)
+	if err := lc.LoadDirect(name, v1); err != nil {
+		t.Fatal(err)
+	}
+	// Only the owners hold a model, so only they are ready.
+	if n := lc.ProbeAll(context.Background()); n != 2 {
+		t.Fatalf("probe: %d healthy, want the 2 owners", n)
+	}
+	probe := []float64{0.5, 1.5}
+	score := func(a *model.Artifact) float64 {
+		s, err := a.Scorer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.ScoreRow(probe)
+	}
+	want1, want2 := score(v1), score(v2)
+	if want1 == want2 {
+		t.Fatalf("v1 and v2 both score the probe %v; the test cannot tell them apart", want1)
+	}
+	body, _ := json.Marshal(serve.PredictRequest{Instances: [][]float64{probe}})
+	h := lc.Router.Handler()
+	predict := func() (float64, error) {
+		rec := postPredict(h, name, string(body), "")
+		if rec.Code != http.StatusOK {
+			return 0, fmt.Errorf("status %d: %s", rec.Code, rec.Body.String())
+		}
+		var resp serve.PredictResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Predictions) != 1 {
+			return 0, fmt.Errorf("reply %q: %v", rec.Body.String(), err)
+		}
+		return resp.Predictions[0], nil
+	}
+
+	stop := make(chan struct{})
+	started := make(chan struct{})
+	var startOnce sync.Once
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer startOnce.Do(func() { close(started) })
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				p, err := predict()
+				if err != nil {
+					t.Errorf("during rollout: %v", err)
+					return
+				}
+				if p != want1 && p != want2 {
+					t.Errorf("during rollout: predicted %v, want v1's %v or v2's %v", p, want1, want2)
+					return
+				}
+				startOnce.Do(func() { close(started) })
+			}
+		}()
+	}
+	<-started // roll out only once traffic is flowing
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/models/"+name, bytes.NewReader(data)))
+	close(stop)
+	wg.Wait()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("rollout: status %d: %s", rec.Code, rec.Body.String())
+	}
+	for i := 0; i < 20; i++ {
+		p, err := predict()
+		if err != nil {
+			t.Fatalf("after rollout: %v", err)
+		}
+		if p != want2 {
+			t.Fatalf("after rollout: predicted %v, want v2's %v", p, want2)
+		}
+	}
 }
 
 // TestServeExposesRouter: the harness serves the router over loopback

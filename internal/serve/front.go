@@ -7,15 +7,18 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/obs"
 )
 
-// MaxRequestBytes caps a request body. Far beyond any legitimate
+// MaxRequestBytes caps a predict body. Far beyond any legitimate
 // batch, small enough that a hostile body is a 413, not an allocation
-// storm.
+// storm. A PUT /models/{name} body is capped at model.MaxArtifactBytes
+// instead.
 const MaxRequestBytes = 32 << 20
 
 // PredictRequest is the body of POST /predict/{model}.
@@ -30,8 +33,8 @@ type PredictResponse struct {
 	Predictions []float64 `json:"predictions"`
 }
 
-// ModelInfo is one entry of GET /models and the reply to POST
-// /models/load.
+// ModelInfo is one entry of GET /models and the reply to PUT
+// /models/{name}.
 type ModelInfo struct {
 	Name     string `json:"name"`
 	Kind     string `json:"kind"`
@@ -39,12 +42,6 @@ type ModelInfo struct {
 	Seed     int64  `json:"seed"`
 	Revision string `json:"revision,omitempty"`
 	Checksum string `json:"payload_sha256"`
-}
-
-// LoadRequest is the body of POST /models/load.
-type LoadRequest struct {
-	Path string `json:"path"`
-	Name string `json:"name,omitempty"`
 }
 
 // ErrorBody is the body of every non-2xx reply.
@@ -56,9 +53,10 @@ type ErrorBody struct {
 // ctx carries the request deadline.
 type PredictHandler func(ctx context.Context, w http.ResponseWriter, r *http.Request)
 
-// LoadHandler serves a POST /models/load whose body the front has
-// decoded and found to name a "path".
-type LoadHandler func(w http.ResponseWriter, r *http.Request, req LoadRequest)
+// LoadHandler serves a PUT /models/{name} the front has accepted: name
+// passed the registry's name check, and body, the request body, is the
+// schema-v1 envelope model.Decode turned into a.
+type LoadHandler func(w http.ResponseWriter, r *http.Request, name string, a *model.Artifact, body []byte)
 
 // Front is the HTTP surface edaserved (Server) and edarouter
 // (cluster.Router) share. It owns the drain flag, the admission gate and
@@ -89,8 +87,8 @@ func NewFront(scope string, maxInFlight int, requestTimeout time.Duration) *Fron
 	}
 }
 
-// StartDraining makes /readyz, /models/load and /predict answer 503;
-// requests already admitted finish.
+// StartDraining makes /readyz, PUT /models/{name} and /predict answer
+// 503; requests already admitted finish.
 func (f *Front) StartDraining() { f.draining.Store(true) }
 
 // Handler returns the mux over the six endpoints, each timed and
@@ -99,8 +97,9 @@ func (f *Front) StartDraining() { f.draining.Store(true) }
 //	GET  /healthz          process liveness (always 200, never shed)
 //	GET  /readyz           503 while draining, else readyz
 //	GET  /models           models, after the method check
-//	POST /models/load      load, after the method and drain checks and
-//	                       the body read
+//	PUT  /models/{name}    load, after the method and drain checks, the
+//	                       name check (400), the body read (413 past
+//	                       model.MaxArtifactBytes) and model.Decode (422)
 //	POST /predict/{model}  predict, after the method and drain checks,
 //	                       priority admission and the request deadline
 //	GET  /metrics          deterministic obs snapshot (JSON)
@@ -119,16 +118,28 @@ func (f *Front) Handler(readyz, models http.HandlerFunc, load LoadHandler, predi
 			models(w, r)
 		}
 	}))
-	mux.HandleFunc("/models/load", f.wrap("models_load", func(w http.ResponseWriter, r *http.Request) {
-		if !f.accept(w, r) {
+	mux.HandleFunc("/models/", f.wrap("models_load", func(w http.ResponseWriter, r *http.Request) {
+		if !f.accept(w, r, http.MethodPut) {
 			return
 		}
-		if req, ok := readLoad(w, r); ok {
-			load(w, r, req)
+		name := strings.TrimPrefix(r.URL.Path, "/models/")
+		if err := checkName(name); err != nil {
+			Error(w, http.StatusBadRequest, err.Error())
+			return
 		}
+		body, ok := ReadBody(w, r, model.MaxArtifactBytes)
+		if !ok {
+			return
+		}
+		a, err := model.Decode(body)
+		if err != nil {
+			Error(w, http.StatusUnprocessableEntity, err.Error())
+			return
+		}
+		load(w, r, name, a, body)
 	}))
 	mux.HandleFunc("/predict/", f.wrap("predict", func(w http.ResponseWriter, r *http.Request) {
-		if f.accept(w, r) {
+		if f.accept(w, r, http.MethodPost) {
 			f.admit(w, r, predict)
 		}
 	}))
@@ -167,10 +178,10 @@ func allow(w http.ResponseWriter, r *http.Request, method string) bool {
 	return true
 }
 
-// accept is the check both POST endpoints open with: 405 for any other
-// method, then 503 while draining.
-func (f *Front) accept(w http.ResponseWriter, r *http.Request) bool {
-	if !allow(w, r, http.MethodPost) {
+// accept is the check the predict and load endpoints open with: 405
+// for any method but method, then 503 while draining.
+func (f *Front) accept(w http.ResponseWriter, r *http.Request, method string) bool {
+	if !allow(w, r, method) {
 		return false
 	}
 	if f.draining.Load() {
@@ -216,15 +227,15 @@ func (f *Front) Fail(w http.ResponseWriter, status int, err error) {
 	Error(w, status, err.Error())
 }
 
-// ReadBody reads a request body of at most MaxRequestBytes. It answers
-// 413 past the cap and 400 on any other read error.
-func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+// ReadBody reads a request body of at most limit bytes. It answers 413
+// past the cap and 400 on any other read error.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			Error(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", MaxRequestBytes))
+				fmt.Sprintf("request body exceeds %d bytes", limit))
 			return nil, false
 		}
 		Error(w, http.StatusBadRequest, "read request body: "+err.Error())
@@ -243,21 +254,6 @@ func DecodePredict(w http.ResponseWriter, body []byte) (PredictRequest, bool) {
 	}
 	if len(req.Instances) == 0 {
 		Error(w, http.StatusBadRequest, "no instances")
-		return req, false
-	}
-	return req, true
-}
-
-// readLoad decodes a /models/load body. It answers 400 on bad JSON,
-// including a body over MaxRequestBytes, and on a missing "path".
-func readLoad(w http.ResponseWriter, r *http.Request) (LoadRequest, bool) {
-	var req LoadRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
-		Error(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return req, false
-	}
-	if req.Path == "" {
-		Error(w, http.StatusBadRequest, `missing "path"`)
 		return req, false
 	}
 	return req, true

@@ -1,22 +1,26 @@
 package serve
 
-// FuzzPredictHandler (ISSUE 4): POST /predict must answer every body —
-// truncated JSON, absurd numbers, wrong shapes, binary garbage — with
-// an HTTP status, never a panic (the recovery middleware is the last
-// line; the handler itself should not need it for malformed input).
-// Seed corpus lives under testdata/fuzz/FuzzPredictHandler; the fuzz
-// job runs this target via scripts/fuzz.sh.
+// FuzzPredictHandler: POST /predict must answer every body — truncated
+// JSON, absurd numbers, wrong shapes, binary garbage — with an HTTP
+// status, never a panic (the recovery middleware is the last line; the
+// handler itself should not need it for malformed input).
+// FuzzLoadHandler holds PUT /models/{name} to its contract: a 200
+// exactly for the bytes model.Decode accepts, otherwise a 4xx with an
+// error body. Seed corpora live under testdata/fuzz/; the fuzz job runs
+// both targets via scripts/fuzz.sh.
 
 import (
 	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/linear"
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 // fuzzServer builds one tiny server (a 2-feature ridge model, batching
@@ -78,6 +82,64 @@ func FuzzPredictHandler(f *testing.F) {
 			http.StatusTooManyRequests, http.StatusInternalServerError,
 			http.StatusServiceUnavailable, http.StatusGatewayTimeout:
 			// Loud, typed refusals are the contract.
+		default:
+			t.Fatalf("unexpected status %d for body %q", rec.Code, body)
+		}
+	})
+}
+
+// loadSeeds is the load-route seed corpus: a small valid envelope, a
+// truncated one, one whose payload no longer matches its checksum, and
+// one from a future schema.
+func loadSeeds(tb testing.TB) [][]byte {
+	a, err := model.Encode(&linear.Regression{W: []float64{0.5, -2}, B: 1}, model.Meta{Name: "m"})
+	if err != nil {
+		tb.Fatalf("encode seed model: %v", err)
+	}
+	data, err := a.Marshal()
+	if err != nil {
+		tb.Fatalf("marshal seed model: %v", err)
+	}
+	return [][]byte{
+		data,
+		data[:len(data)/2],
+		bytes.Replace(data, []byte(a.Envelope.Checksum), []byte(strings.Repeat("0", 64)), 1),
+		bytes.Replace(data, []byte(`"schema_version": 1`), []byte(`"schema_version": 2`), 1),
+	}
+}
+
+func FuzzLoadHandler(f *testing.F) {
+	for _, seed := range loadSeeds(f) {
+		f.Add(seed)
+	}
+	f.Add([]byte(`{"path": "/dev/zero"}`))
+	f.Add([]byte(``))
+
+	s := New(Config{MaxBatch: 1})
+	f.Cleanup(s.Close)
+	h := s.Handler()
+	panics := obs.GetCounter("serve.panics_recovered")
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := panics.Value()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/models/m", bytes.NewReader(body)))
+		if panics.Value() != before {
+			t.Fatalf("handler panicked for body %q: %s", body, rec.Body.String())
+		}
+		_, derr := model.Decode(body)
+		switch {
+		case rec.Code == http.StatusOK:
+			if derr != nil {
+				t.Fatalf("200 for a body model.Decode refuses (%v): %q", derr, body)
+			}
+		case rec.Code >= 400 && rec.Code <= 499:
+			if derr == nil {
+				t.Fatalf("status %d for a body model.Decode accepts: %s", rec.Code, rec.Body.String())
+			}
+			var eb ErrorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == "" {
+				t.Fatalf("status %d without an error body: %q", rec.Code, rec.Body.String())
+			}
 		default:
 			t.Fatalf("unexpected status %d for body %q", rec.Code, body)
 		}

@@ -7,8 +7,10 @@
 //
 //   - A model registry maps names to loaded artifacts. Models load at
 //     boot (cmd/edaserved -model) and hot-load at runtime
-//     (POST /models/load), so a freshly trained artifact can enter a
-//     running fleet without a restart.
+//     (PUT /models/{name}, whose body is the artifact itself), so a
+//     freshly trained artifact can enter a running fleet without a
+//     restart, and without a filesystem shared with its sender. The
+//     package opens no file.
 //   - A micro-batching queue per model (see batcher.go) scores the rows
 //     already waiting, up to Config.MaxBatch, in one call that amortizes
 //     kernel/Gram evaluation through internal/parallel. Batching is
@@ -21,13 +23,15 @@
 //   - One HTTP front for both servers (see front.go): edaserved's
 //     Server and edarouter's cluster.Router mount the same Front, which
 //     declares the wire types (PredictRequest, PredictResponse,
-//     ModelInfo, LoadRequest, ErrorBody) and owns everything that
-//     precedes a server's own work. That is the /predict gate (method,
-//     drain, priority admission, request deadline), the body readers
-//     (413 past MaxRequestBytes, 400 on bad JSON), the JSON reply and
-//     error writer, the 504 reply, /healthz, /metrics, and the
-//     per-endpoint wrapper. The Front takes its metric scope ("serve"
-//     or "cluster") as data and never asks which server it fronts.
+//     ModelInfo, ErrorBody) and owns everything that precedes a
+//     server's own work. That is the /predict gate (method, drain,
+//     priority admission, request deadline), the load checks (method,
+//     drain, name, 413 past model.MaxArtifactBytes, 422 when
+//     model.Decode refuses the body), the body readers (413 past
+//     MaxRequestBytes, 400 on bad JSON), the JSON reply and error
+//     writer, the 504 reply, /healthz, /metrics, and the per-endpoint
+//     wrapper. The Front takes its metric scope ("serve" or "cluster")
+//     as data and never asks which server it fronts.
 //   - Bounded in-flight concurrency with priority-aware load shedding:
 //     predict requests declare a priority via the X-Priority header
 //     (low | normal | high) and each tier sheds (429) at its own slice
@@ -150,7 +154,7 @@ type servedModel struct {
 }
 
 // Server is the inference server. Create with New, register models with
-// Load/LoadFile, mount Handler, and call Close to drain.
+// Load, mount Handler, and call Close to drain.
 type Server struct {
 	cfg   Config
 	front *Front
@@ -178,11 +182,8 @@ func (s *Server) Load(name string, a *model.Artifact) error {
 	if name == "" {
 		name = a.Envelope.Name
 	}
-	if name == "" {
-		return errors.New("serve: model has no name; pass one explicitly")
-	}
-	if strings.ContainsAny(name, "/ \t\n") {
-		return fmt.Errorf("serve: invalid model name %q", name)
+	if err := checkName(name); err != nil {
+		return err
 	}
 	scorer, err := a.Scorer()
 	if err != nil {
@@ -220,16 +221,16 @@ func (s *Server) Load(name string, a *model.Artifact) error {
 	return nil
 }
 
-// LoadFile loads the artifact at path and registers it.
-func (s *Server) LoadFile(path, name string) (*model.Artifact, error) {
-	a, err := model.Load(path)
-	if err != nil {
-		return nil, err
+// checkName refuses a registry name that a URL path segment could not
+// carry: empty, or holding a '/' or whitespace.
+func checkName(name string) error {
+	if name == "" {
+		return errors.New("serve: model has no name; pass one explicitly")
 	}
-	if err := s.Load(name, a); err != nil {
-		return nil, err
+	if strings.ContainsAny(name, "/ \t\n") {
+		return fmt.Errorf("serve: invalid model name %q", name)
 	}
-	return a, nil
+	return nil
 }
 
 // Models returns the registered model names, sorted.
@@ -320,7 +321,7 @@ func (sm *servedModel) scoreBatch(ctx context.Context, x *linalg.Matrix) ([]floa
 //
 //	GET  /readyz           503 until models are loaded
 //	GET  /models           registered models and their provenance
-//	POST /models/load      hot-load an artifact file: {"path": ..., "name": ...}
+//	PUT  /models/{name}    hot-load the artifact in the body under name
 //	POST /predict/{model}  score instances: {"instances": [[...], ...]}
 func (s *Server) Handler() http.Handler {
 	return s.front.Handler(s.handleReadyz, s.handleModels, s.handleLoad, s.handlePredict)
@@ -348,15 +349,10 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 	WriteJSON(w, http.StatusOK, infos)
 }
 
-func (s *Server) handleLoad(w http.ResponseWriter, _ *http.Request, req LoadRequest) {
-	a, err := s.LoadFile(req.Path, req.Name)
-	if err != nil {
+func (s *Server) handleLoad(w http.ResponseWriter, _ *http.Request, name string, a *model.Artifact, _ []byte) {
+	if err := s.Load(name, a); err != nil {
 		Error(w, http.StatusUnprocessableEntity, err.Error())
 		return
-	}
-	name := req.Name
-	if name == "" {
-		name = a.Envelope.Name
 	}
 	WriteJSON(w, http.StatusOK, modelInfo(name, &a.Envelope))
 }
@@ -375,7 +371,7 @@ func (s *Server) handlePredict(ctx context.Context, w http.ResponseWriter, r *ht
 		Error(w, http.StatusNotFound, fmt.Sprintf("no model %q loaded", name))
 		return
 	}
-	body, ok := ReadBody(w, r)
+	body, ok := ReadBody(w, r, MaxRequestBytes)
 	if !ok {
 		return
 	}

@@ -303,8 +303,11 @@ func TestReadyzLifecycle(t *testing.T) {
 	}
 }
 
-// TestHotLoad: POST /models/load registers an artifact file on a
-// running server; the model serves immediately and /models lists it.
+// TestHotLoad: PUT /models/{name} with an artifact's bytes registers it
+// on a running server; the model serves immediately, bit-identical to
+// in-process scoring, and /models lists it. Every refused body leaves
+// the registry as it was and the server answering, and no body names a
+// file: {"path": "/dev/zero"} is just bytes that do not decode.
 func TestHotLoad(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
@@ -312,52 +315,85 @@ func TestHotLoad(t *testing.T) {
 	defer ts.Close()
 
 	tr := zoo(t)[2] // ridge
-	dir := t.TempDir()
-	path := modelzoo.ArtifactFile(dir, tr.Kind)
-	if _, err := model.Save(path, tr.Model, model.Meta{Name: "hot", Seed: testSeed}); err != nil {
-		t.Fatal(err)
-	}
-
-	body, _ := json.Marshal(LoadRequest{Path: path})
-	resp, err := http.Post(ts.URL+"/models/load", "application/json", bytes.NewReader(body))
+	a, err := model.Encode(tr.Model, model.Meta{Name: "m", Seed: testSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/models/load status = %d", resp.StatusCode)
-	}
-
-	status, pr := postPredict(t, ts.URL, "hot", [][]float64{tr.Probes.Row(0)})
-	if status != http.StatusOK {
-		t.Fatalf("predict after hot load: status %d", status)
-	}
-	if pr.Predictions[0] != tr.Want[0] {
-		t.Fatalf("hot-loaded prediction %v != in-process %v", pr.Predictions[0], tr.Want[0])
-	}
-
-	mresp, err := http.Get(ts.URL + "/models")
+	data, err := a.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mresp.Body.Close()
-	var infos []ModelInfo
-	if err := json.NewDecoder(mresp.Body).Decode(&infos); err != nil {
-		t.Fatal(err)
+	h := s.Handler()
+	put := func(method, path string, body []byte) int {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			var eb ErrorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == "" {
+				t.Fatalf("%s %s: status %d without an error body: %q", method, path, rec.Code, rec.Body.String())
+			}
+		}
+		return rec.Code
 	}
-	if len(infos) != 1 || infos[0].Name != "hot" || infos[0].Kind != string(tr.Kind) {
-		t.Fatalf("/models = %+v", infos)
+	probes := make([][]float64, tr.Probes.Rows)
+	for i := range probes {
+		probes[i] = tr.Probes.Row(i)
+	}
+	// serving requires "hot" to answer every probe exactly as the
+	// in-process model does, and to be the only model listed.
+	serving := func(stage string) {
+		t.Helper()
+		status, pr := postPredict(t, ts.URL, "hot", probes)
+		if status != http.StatusOK {
+			t.Fatalf("%s: predict status %d", stage, status)
+		}
+		for i, p := range pr.Predictions {
+			if math.Float64bits(p) != math.Float64bits(tr.Want[i]) {
+				t.Fatalf("%s: probe %d: served %v != in-process %v", stage, i, p, tr.Want[i])
+			}
+		}
+		mresp, err := http.Get(ts.URL + "/models")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mresp.Body.Close()
+		var infos []ModelInfo
+		if err := json.NewDecoder(mresp.Body).Decode(&infos); err != nil {
+			t.Fatal(err)
+		}
+		if len(infos) != 1 || infos[0].Name != "hot" || infos[0].Kind != string(tr.Kind) ||
+			infos[0].Checksum != a.Envelope.Checksum {
+			t.Fatalf("%s: /models = %+v", stage, infos)
+		}
 	}
 
-	// Loading a missing file fails without disturbing the registry.
-	body, _ = json.Marshal(LoadRequest{Path: path + ".missing"})
-	resp2, err := http.Post(ts.URL+"/models/load", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	if got := put(http.MethodPut, "/models/hot", data); got != http.StatusOK {
+		t.Fatalf("PUT /models/hot: status %d", got)
 	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("loading a missing file: status %d, want 422", resp2.StatusCode)
+	serving("after load")
+
+	for _, tc := range []struct {
+		name, method, path string
+		body               []byte
+		want               int
+	}{
+		{"truncated", http.MethodPut, "/models/hot", data[:len(data)/2], http.StatusUnprocessableEntity},
+		{"oversized", http.MethodPut, "/models/hot", make([]byte, model.MaxArtifactBytes+1), http.StatusRequestEntityTooLarge},
+		{"path body", http.MethodPut, "/models/hot", []byte(`{"path": "/dev/zero"}`), http.StatusUnprocessableEntity},
+		{"POST", http.MethodPost, "/models/hot", data, http.StatusMethodNotAllowed},
+		{"no name", http.MethodPut, "/models/", data, http.StatusBadRequest},
+		{"name with a slash", http.MethodPut, "/models/a/b", data, http.StatusBadRequest},
+	} {
+		if got := put(tc.method, tc.path, tc.body); got != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, got, tc.want)
+		}
+		serving(tc.name)
+	}
+
+	s.StartDraining()
+	if got := put(http.MethodPut, "/models/hot", data); got != http.StatusServiceUnavailable {
+		t.Fatalf("PUT while draining: status %d, want 503", got)
 	}
 }
 

@@ -60,16 +60,11 @@ func (m *OneClass) Decision(x []float64) float64 {
 	return s
 }
 
-// DecisionBatch returns Decision for every row of x, amortizing the
-// kernel evaluations through one CrossGram sweep (parallel across rows).
-// Each score is accumulated in the same order as Decision, so the batch
-// path is bit-identical to scoring the rows one at a time.
-func (m *OneClass) DecisionBatch(x *linalg.Matrix) []float64 {
-	return m.DecisionBatchInto(x, make([]float64, x.Rows))
-}
-
-// DecisionBatchInto is DecisionBatch writing into a caller-provided
-// slice of length x.Rows; the cross-Gram scratch is leased from the
+// DecisionBatchInto writes Decision for every row of x into out (length
+// x.Rows), amortizing the kernel evaluations through one CrossGram
+// sweep (parallel across rows). Each score is accumulated in the same
+// order as Decision, so the batch path is bit-identical to scoring the
+// rows one at a time. The cross-Gram scratch is leased from the
 // columnar arena, so a steady-state batch allocates nothing
 // (alloc_test.go pins this at 0 allocs/op).
 func (m *OneClass) DecisionBatchInto(x *linalg.Matrix, out []float64) []float64 {

@@ -135,7 +135,7 @@ func TestOneClassDecisionBatchMatchesSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	probes := gaussianCloud(10, 25, 4)
-	batch := m.DecisionBatch(probes)
+	batch := m.DecisionBatchInto(probes, make([]float64, probes.Rows))
 	if len(batch) != probes.Rows {
 		t.Fatalf("batch length %d, want %d", len(batch), probes.Rows)
 	}
@@ -250,8 +250,8 @@ func TestSVCBatchAndRestoreRoundTrip(t *testing.T) {
 	}
 
 	probes := gaussianCloud(18, 30, 2)
-	margins := m.DecisionBatch(probes)
-	preds := m.PredictBatch(probes)
+	margins := m.DecisionBatchInto(probes, make([]float64, probes.Rows))
+	preds := m.PredictBatchInto(probes, make([]float64, probes.Rows))
 	cls := m.Classes()
 	for i := 0; i < probes.Rows; i++ {
 		if single := m.Decision(probes.Row(i)); margins[i] != single {

@@ -183,16 +183,11 @@ func (m *SVC) Decision(x []float64) float64 {
 	return s
 }
 
-// DecisionBatch returns Decision for every row of x, amortizing the
-// kernel evaluations through one CrossGram sweep (parallel across rows).
-// Each margin is accumulated in the same order as Decision, so the batch
-// path is bit-identical to scoring the rows one at a time.
-func (m *SVC) DecisionBatch(x *linalg.Matrix) []float64 {
-	return m.DecisionBatchInto(x, make([]float64, x.Rows))
-}
-
-// DecisionBatchInto is DecisionBatch writing into a caller-provided
-// slice of length x.Rows; the cross-Gram scratch is leased from the
+// DecisionBatchInto writes Decision for every row of x into out (length
+// x.Rows), amortizing the kernel evaluations through one CrossGram
+// sweep (parallel across rows). Each margin is accumulated in the same
+// order as Decision, so the batch path is bit-identical to scoring the
+// rows one at a time. The cross-Gram scratch is leased from the
 // columnar arena, so a steady-state batch allocates nothing
 // (alloc_test.go pins this at 0 allocs/op).
 func (m *SVC) DecisionBatchInto(x *linalg.Matrix, out []float64) []float64 {
@@ -213,12 +208,8 @@ func (m *SVC) DecisionBatchInto(x *linalg.Matrix, out []float64) []float64 {
 	return out
 }
 
-// PredictBatch returns Predict for every row of x via DecisionBatch.
-func (m *SVC) PredictBatch(x *linalg.Matrix) []float64 {
-	return m.PredictBatchInto(x, make([]float64, x.Rows))
-}
-
-// PredictBatchInto is PredictBatch writing into a caller-provided slice.
+// PredictBatchInto writes Predict for every row of x into out (length
+// x.Rows) via DecisionBatchInto.
 func (m *SVC) PredictBatchInto(x *linalg.Matrix, out []float64) []float64 {
 	out = m.DecisionBatchInto(x, out)
 	for i, s := range out {

@@ -91,7 +91,7 @@ func registerSVC() {
 			if err != nil {
 				return nil, err
 			}
-			return &Fit{Predict: m.PredictBatch, Model: m}, nil
+			return &Fit{Predict: into(m.PredictBatchInto), Model: m}, nil
 		},
 		Invariants: func(cs *Case, f *Fit) error {
 			m := f.Model.(*svm.SVC)
@@ -137,7 +137,7 @@ func registerOneClass() {
 			if err != nil {
 				return nil, err
 			}
-			return &Fit{Predict: m.DecisionBatch, Model: m}, nil
+			return &Fit{Predict: into(m.DecisionBatchInto), Model: m}, nil
 		},
 		Invariants: func(cs *Case, f *Fit) error {
 			m := f.Model.(*svm.OneClass)
@@ -186,7 +186,7 @@ func registerStreamIncremental() {
 			if err != nil {
 				return nil, err
 			}
-			return &Fit{Predict: m.DecisionBatch, Model: m}, nil
+			return &Fit{Predict: into(m.DecisionBatchInto), Model: m}, nil
 		},
 		Invariants: func(cs *Case, f *Fit) error {
 			m := f.Model.(*svm.OneClass)
@@ -259,7 +259,7 @@ func registerRidge() {
 			if err != nil {
 				return nil, err
 			}
-			return &Fit{Predict: m.PredictBatch, Model: m}, nil
+			return &Fit{Predict: into(m.PredictBatchInto), Model: m}, nil
 		},
 		Invariants: func(_ *Case, f *Fit) error {
 			return f.Model.(*linear.Regression).Validate()
@@ -291,7 +291,7 @@ func registerGP() {
 			if err != nil {
 				return nil, err
 			}
-			return &Fit{Predict: m.PredictBatch, Model: m}, nil
+			return &Fit{Predict: into(m.PredictBatchInto), Model: m}, nil
 		},
 		Invariants: func(cs *Case, f *Fit) error {
 			m := f.Model.(*gp.Regressor)
@@ -323,7 +323,7 @@ func registerTree() {
 			if err != nil {
 				return nil, err
 			}
-			return &Fit{Predict: m.PredictBatch, Model: m}, nil
+			return &Fit{Predict: into(m.PredictBatchInto), Model: m}, nil
 		},
 		Invariants: func(cs *Case, f *Fit) error {
 			return f.Model.(*tree.Tree).Validate(cs.Train.Dim())
@@ -357,7 +357,7 @@ func registerRules() {
 				return nil, err
 			}
 			m := &rules.RuleSet{Rules: rs, Target: 1, Default: 0}
-			return &Fit{Predict: m.PredictBatch, Model: m}, nil
+			return &Fit{Predict: into(m.PredictBatchInto), Model: m}, nil
 		},
 		Invariants: func(cs *Case, f *Fit) error {
 			return f.Model.(*rules.RuleSet).Validate(cs.Train.Dim())

@@ -75,7 +75,7 @@ func registerSVCApprox() {
 			if err != nil {
 				return nil, fmt.Errorf("compile: %w", err)
 			}
-			return &Fit{Predict: am.ScoreBatch, Model: am}, nil
+			return &Fit{Predict: into(am.ScoreBatchInto), Model: am}, nil
 		},
 		Invariants: func(cs *Case, f *Fit) error {
 			am := f.Model.(*model.ApproxModel)
@@ -123,7 +123,7 @@ func registerOneClassApprox() {
 			if err != nil {
 				return nil, fmt.Errorf("compile: %w", err)
 			}
-			return &Fit{Predict: am.ScoreBatch, Model: am}, nil
+			return &Fit{Predict: into(am.ScoreBatchInto), Model: am}, nil
 		},
 		Invariants: func(cs *Case, f *Fit) error {
 			am := f.Model.(*model.ApproxModel)
@@ -177,7 +177,7 @@ func registerGPApprox() {
 			if err != nil {
 				return nil, fmt.Errorf("compile: %w", err)
 			}
-			return &Fit{Predict: am.ScoreBatch, Model: am}, nil
+			return &Fit{Predict: into(am.ScoreBatchInto), Model: am}, nil
 		},
 		Invariants: func(cs *Case, f *Fit) error {
 			am := f.Model.(*model.ApproxModel)

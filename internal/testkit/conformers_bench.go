@@ -180,7 +180,7 @@ func registerISAStress() {
 			if err != nil {
 				return nil, err
 			}
-			return &Fit{Predict: m.PredictBatch, Model: m}, nil
+			return &Fit{Predict: into(m.PredictBatchInto), Model: m}, nil
 		},
 		Invariants: func(cs *Case, f *Fit) error {
 			if err := CheckFinite("stress cycle scores", f.Predict(cs.Probes)); err != nil {

@@ -36,7 +36,7 @@ func registerColmat() {
 			if err != nil {
 				return nil, err
 			}
-			return &Fit{Predict: m.DecisionBatch, Model: m}, nil
+			return &Fit{Predict: into(m.DecisionBatchInto), Model: m}, nil
 		},
 		Invariants: colmatInvariants,
 		Relations:  []Relation{Rel(RefitIdentity(), Exact)},

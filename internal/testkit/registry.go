@@ -30,6 +30,12 @@ type Fit struct {
 	Model any
 }
 
+// into adapts a model's batch scorer, the form that writes into a
+// caller's slice and the one serving runs, to Fit.Predict.
+func into(score func(x *linalg.Matrix, out []float64) []float64) func(x *linalg.Matrix) []float64 {
+	return func(x *linalg.Matrix) []float64 { return score(x, make([]float64, x.Rows)) }
+}
+
 // Conformer is one learner's entry in the conformance registry.
 type Conformer struct {
 	// Name is the unique registry key, e.g. "svm/svc".

@@ -39,11 +39,13 @@ for w in 1 2 8; do
 done
 
 # A hot-swap must never answer 503 or mix two models in one response,
-# whichever parallel path the scoring behind the swapped queue takes.
+# whichever parallel path the scoring behind the swapped queue takes,
+# on one node or in a rollout through the router.
 echo "== hot-swap race at 1/2/8 workers (race) =="
 for w in 1 2 8; do
 	echo "-- REPRO_WORKERS=$w"
 	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestHotSwapRace' ./internal/serve/
+	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestClusterRolloutZeroDrops' ./internal/serve/cluster/
 done
 
 # Batches form from whatever is queued, so their composition follows

@@ -2,13 +2,17 @@
 # Cluster smoke test: the sharded serving tier against real binaries.
 #
 #   1. build cmd/edamine, cmd/edaserved, and cmd/edarouter
-#   2. train + save artifacts (`edamine -quick -save-model`)
-#   3. boot a 3-replica edaserved fleet and an edarouter fronting it
+#   2. train + save artifacts (`edamine -quick -save-model`) into
+#      $WORK/train
+#   3. boot a 3-replica edaserved fleet, each replica from its own copy
+#      of the artifacts, and an edarouter fronting it
 #   4. require 200 from the router's /readyz and a routed /predict
 #   5. kill one replica outright — predictions must keep answering 200
 #      through health-gated failover
-#   6. blue/green rollout: POST /models/load on the router while a
-#      client hammers /predict — zero requests may fail during the roll
+#   6. blue/green rollout: PUT the artifact's bytes, read from
+#      $WORK/train, which no replica reads, to /models/zoo-ridge on the
+#      router while a client hammers /predict — zero requests may fail
+#      during the roll, and no filesystem is shared
 #   7. SIGTERM the router and require a graceful drain (exit 0)
 #
 # CI runs this as the `cluster-smoke` job; `make cluster-smoke` runs it
@@ -42,14 +46,17 @@ echo "== build =="
 "$WORK/edarouter" -version
 
 echo "== train + save artifacts =="
-"$WORK/edamine" -quick -save-model "$WORK" models
-ls "$WORK"/*.model.json >/dev/null
+mkdir "$WORK/train"
+"$WORK/edamine" -quick -save-model "$WORK/train" models
+ls "$WORK/train"/*.model.json >/dev/null
 
-echo "== boot 3-replica fleet =="
+echo "== boot 3-replica fleet, each from its own directory =="
 REPLICA_FLAGS=()
 for i in 0 1 2; do
 	port=$((BASE_PORT + i))
-	"$WORK/edaserved" -addr "127.0.0.1:$port" -model-dir "$WORK" -drain-timeout 5s \
+	mkdir "$WORK/replica$i"
+	cp "$WORK/train"/*.model.json "$WORK/replica$i/"
+	"$WORK/edaserved" -addr "127.0.0.1:$port" -model-dir "$WORK/replica$i" -drain-timeout 5s \
 		>"$WORK/replica$i.log" 2>&1 &
 	PIDS+=($!)
 	disown $! # silence job-control noise when the kill step reaps it
@@ -113,11 +120,8 @@ if [ "$fails" != "0" ]; then
 fi
 echo "replica killed: 20/20 predicts answered 200"
 
-echo "== blue/green rollout under live traffic =="
-ARTIFACT="$(ls "$WORK"/*ridge*.model.json | head -1)"
-if [ -z "$ARTIFACT" ]; then
-	ARTIFACT="$(ls "$WORK"/*.model.json | head -1)"
-fi
+echo "== blue/green rollout under live traffic, by value =="
+ARTIFACT="$WORK/train/ridge.model.json"
 # Hammer predicts in the background while the rollout walks the owners.
 : >"$WORK/roll_fails"
 (
@@ -133,9 +137,9 @@ fi
 TRAFFIC_PID=$!
 sleep 0.2
 roll_status="$(curl -s -o "$WORK/rollout.json" -w '%{http_code}' \
-	-X POST "$ROUTER_URL/models/load" \
+	-X PUT "$ROUTER_URL/models/zoo-ridge" \
 	-H 'Content-Type: application/json' \
-	-d "{\"path\": \"$ARTIFACT\", \"name\": \"zoo-ridge\"}")"
+	--data-binary @"$ARTIFACT")"
 wait "$TRAFFIC_PID"
 roll_fails="$(cat "$WORK/roll_fails")"
 if [ "$roll_status" != "200" ]; then

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Bounded fuzz sweep over the untrusted-input decoders: model artifact
-# decoding (internal/model.FuzzModelDecode), the predict request handler
-# of a single node (internal/serve.FuzzPredictHandler) and of the
-# cluster router (internal/serve/cluster.FuzzRouterPredict), and
+# decoding (internal/model.FuzzModelDecode), the predict and load
+# handlers of a single node (internal/serve.FuzzPredictHandler,
+# FuzzLoadHandler) and of the cluster router
+# (internal/serve/cluster.FuzzRouterPredict, FuzzRouterLoad), and
 # benchmark-dataset artifact decoding
 # (internal/datasets.FuzzDatasetDecode). Each
 # target runs for FUZZTIME (default 30s) from its committed seed corpus;
@@ -23,7 +24,9 @@ FUZZTIME="${FUZZTIME:-30s}"
 targets=(
 	"repro/internal/model FuzzModelDecode"
 	"repro/internal/serve FuzzPredictHandler"
+	"repro/internal/serve FuzzLoadHandler"
 	"repro/internal/serve/cluster FuzzRouterPredict"
+	"repro/internal/serve/cluster FuzzRouterLoad"
 	"repro/internal/datasets FuzzDatasetDecode"
 )
 

@@ -5,7 +5,9 @@
 #   2. train + save one artifact of every kind (`edamine -save-model`)
 #   3. boot edaserved on the artifact directory
 #   4. poll /readyz until ready, then require 200 from one /predict call
-#   5. SIGTERM the server and require a graceful exit (status 0)
+#   5. PUT one artifact's bytes under a new name into the running
+#      server and require 200 from a /predict call on that name
+#   6. SIGTERM the server and require a graceful exit (status 0)
 #
 # CI runs this as the `smoke` job; it is also the quickest way to check
 # a local build end to end. Set GO to use a specific toolchain.
@@ -76,6 +78,27 @@ if [ "$status" != "200" ]; then
 fi
 grep -q '"predictions"' "$WORK/predict.json"
 echo "predict: $(cat "$WORK/predict.json")"
+
+echo "== hot-load by value (PUT /models/{name}) =="
+status="$(curl -s -o "$WORK/load.json" -w '%{http_code}' \
+	-X PUT "$SERVE_URL/models/pushed-ridge" \
+	-H 'Content-Type: application/json' \
+	--data-binary @"$WORK/ridge.model.json")"
+if [ "$status" != "200" ]; then
+	echo "smoke: PUT /models/pushed-ridge returned HTTP $status" >&2
+	cat "$WORK/load.json" >&2
+	exit 1
+fi
+status="$(curl -s -o "$WORK/predict_pushed.json" -w '%{http_code}' \
+	-X POST "$SERVE_URL/predict/pushed-ridge" \
+	-H 'Content-Type: application/json' \
+	-d '{"instances": [[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]]}')"
+if [ "$status" != "200" ]; then
+	echo "smoke: predict on the pushed model returned HTTP $status" >&2
+	cat "$WORK/predict_pushed.json" >&2
+	exit 1
+fi
+echo "pushed: $(cat "$WORK/load.json")"
 
 echo "== graceful shutdown (SIGTERM) =="
 kill -TERM "$SERVER_PID"

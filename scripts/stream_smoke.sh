@@ -7,7 +7,9 @@
 #      publishes its first artifact)
 #   3. boot edaloop with a planted distribution shift (-shift-at): it
 #      selects novel candidates, retrains incrementally, and pushes
-#      every refreshed model to the edaserved via POST /models/load
+#      every refreshed model's bytes to the edaserved via
+#      PUT /models/stream-oneclass, with no -artifact-dir: the two
+#      processes share no file
 #   4. wait for the loop's own /loop/status to report a drift-triggered
 #      refresh — the planted shift must be detected, not just a cadence
 #      refresh
@@ -62,7 +64,7 @@ curl -fsS "$SERVE_URL/healthz" >/dev/null || {
 echo "== boot edaloop (planted shift at 600, pushing every swap) =="
 "$WORK/edaloop" -seed 42 -source isa -candidates 1000000 \
 	-window 256 -warmup 32 -shift-at 600 -min-refit 8 -refresh-max 64 \
-	-addr "$LOOP_ADDR" -artifact-dir "$WORK/artifacts" -push-url "$SERVE_URL" \
+	-addr "$LOOP_ADDR" -push-url "$SERVE_URL" \
 	>"$WORK/loop.log" 2>&1 &
 LOOP_PID=$!
 

@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	"repro/internal/apps/modelzoo"
+	"repro/internal/model"
 	"repro/internal/serve"
 	"repro/internal/testkit"
 )
@@ -63,7 +64,11 @@ func TestServeEndToEnd(t *testing.T) {
 			srv := serve.New(tc.cfg)
 			defer srv.Close()
 			for _, tr := range trained {
-				if _, err := srv.LoadFile(modelzoo.ArtifactFile(dir, tr.Kind), string(tr.Kind)); err != nil {
+				a, err := model.Load(modelzoo.ArtifactFile(dir, tr.Kind))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := srv.Load(string(tr.Kind), a); err != nil {
 					t.Fatal(err)
 				}
 			}
