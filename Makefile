@@ -60,10 +60,12 @@ conformance-slow:
 	go test -tags=slowconformance -run 'TestConformance' -count=1 -v .
 
 # The full CI pipeline locally: the race-clean correctness gate, the
-# short benchmark sweep that writes BENCH_ci.json, the serving smoke,
-# and the bounded fuzz sweep.
+# nested benchmark module's vet and tests, the short benchmark sweep
+# that writes BENCH_ci.json, the serving smoke, and the bounded fuzz
+# sweep.
 ci:
 	./scripts/check.sh
+	cd cmd/edabench && go vet ./... && go test ./...
 	./scripts/cover.sh
 	./scripts/bench.sh
 	./scripts/serve_smoke.sh

@@ -20,11 +20,9 @@ package repro_test
 //
 // Determinism holds because the harness drives requests serially with
 // MaxBatch=1 (so each fault site's stream is consumed in a fixed call
-// order), the comparison uses counters only (latency histograms and
-// gauges measure wall time, which chaos makes noisy by design), and the
-// client's breaker threshold is set high enough to never trip — the
-// breaker's cooldown clock is wall time, and its determinism is pinned
-// separately with a fake clock in internal/serve/client.
+// order), the client's retry schedule reads no clock (its jitter is
+// seeded), and the comparison uses counters only (latency histograms
+// and gauges measure wall time, which chaos makes noisy by design).
 
 import (
 	"context"
@@ -84,9 +82,6 @@ func runChaos(t *testing.T, trained []modelzoo.Trained, seed int64) (map[string]
 		BackoffBase: time.Millisecond,
 		BackoffMax:  4 * time.Millisecond,
 		RetryBudget: 10_000,
-		// High enough to never trip at a 10% error rate: the breaker's
-		// cooldown is wall-clock and would break counter determinism.
-		BreakerThreshold: 1_000,
 	})
 
 	preds := make(map[string][]float64, len(trained))
@@ -153,9 +148,6 @@ func TestChaosEndToEnd(t *testing.T) {
 		if counters1[name] == 0 {
 			t.Errorf("counter %s = 0 — the chaos plan did not engage", name)
 		}
-	}
-	if counters1["client.breaker_opens"] != 0 {
-		t.Errorf("breaker opened during the chaos run; its wall-clock cooldown breaks replay determinism")
 	}
 
 	// Claim 2: same seed, same run — counter snapshots are identical.

@@ -27,8 +27,9 @@ package repro_test
 // replica, so the replica-side kernel_eval stream is consumed in a
 // fixed order — fan-out bit-identity is pinned fault-free by the
 // testkit cluster lane), the router draws its per-owner partition
-// faults serially before any I/O, the breaker clock is frozen, the
-// kill happens at a fixed point in the schedule, and the comparison
+// faults serially before any I/O, replica health moves only on those
+// counted events and never on a clock, the kill happens at a fixed
+// point in the schedule, and the comparison
 // uses counters only (histograms measure wall time, which chaos makes
 // noisy by design). The nightly slowconformance run multiplies the
 // sweep count via sweepScale.
@@ -116,13 +117,11 @@ func runClusterChaos(t *testing.T, trained []modelzoo.Trained, seed int64) (map[
 	fault.Activate(clusterChaosPlan(seed))
 	defer fault.Deactivate()
 
-	frozen := time.Unix(1_700_000_000, 0)
 	lc, err := cluster.NewLocal(3, serve.Config{MaxBatch: 1, RequestTimeout: 10 * time.Second}, cluster.Config{
 		Replication: 3,
 		SpreadMin:   1 << 20, // single-replica requests: keep replica-side fault draws serial
 		DownAfter:   1,
 		Seed:        seed,
-		Now:         func() time.Time { return frozen },
 	})
 	if err != nil {
 		t.Fatal(err)

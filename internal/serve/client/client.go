@@ -3,11 +3,12 @@
 // wire format once for both servers (serve.PredictRequest,
 // serve.PredictResponse, serve.ModelInfo, serve.ErrorBody); an artifact
 // travels as its own schema-v1 envelope bytes. It adds per-attempt
-// timeouts, capped exponential backoff with deterministic jitter, a
-// retry budget, and a three-state circuit breaker. It is the caller-side half of the resilience story —
+// timeouts, capped exponential backoff with deterministic jitter, and a
+// retry budget. It is the caller-side half of the resilience story —
 // the server sheds, times out, and isolates; the client retries what is
-// safe to retry, backs off instead of hammering, and stops calling a
-// host that is clearly down.
+// safe to retry and backs off instead of hammering. Deciding that a
+// host is down is not the client's job: the cluster router keeps that
+// record per replica (internal/serve/cluster), fed by the Try calls.
 //
 // Retry policy: 5xx and 429 responses and transport errors are
 // retryable (predict is idempotent — same instances, same model, same
@@ -15,12 +16,10 @@
 // than 429 are the caller's bug and are never retried. Every retry
 // spends one token from a shared budget that successes refill, so a
 // fleet-wide outage degrades to "one try each" instead of a retry
-// storm. The breaker opens after a run of consecutive failures, fails
-// fast while open, and lets a single probe through after a cooldown
-// (half-open); the probe's outcome closes or re-opens it.
+// storm.
 //
 // Determinism: all jitter comes from a seeded math/rand source owned by
-// the client, and the breaker clock is injectable, so chaos tests
+// the client, and no decision to attempt reads a clock, so chaos tests
 // replay identical retry schedules from a seed (see chaos_e2e_test).
 package client
 
@@ -41,20 +40,16 @@ import (
 	"repro/internal/serve"
 )
 
-// Client metrics: attempts, retries, failures, and breaker behavior.
+// Client metrics: attempts, retries, and failures.
 var (
-	attemptsTotal  = obs.GetCounter("client.attempts")
-	retriesTotal   = obs.GetCounter("client.retries")
-	failuresTotal  = obs.GetCounter("client.failures")
-	budgetExhaust  = obs.GetCounter("client.retry_budget_exhausted")
-	breakerFastNos = obs.GetCounter("client.breaker_fast_failures")
+	attemptsTotal = obs.GetCounter("client.attempts")
+	retriesTotal  = obs.GetCounter("client.retries")
+	failuresTotal = obs.GetCounter("client.failures")
+	budgetExhaust = obs.GetCounter("client.retry_budget_exhausted")
 )
 
 // Sentinel errors; match with errors.Is.
 var (
-	// ErrBreakerOpen is returned when the circuit breaker refuses the
-	// call without attempting it.
-	ErrBreakerOpen = errors.New("client: circuit breaker open")
 	// ErrBudgetExhausted is returned when a retryable failure could not
 	// be retried because the retry budget is empty.
 	ErrBudgetExhausted = errors.New("client: retry budget exhausted")
@@ -77,12 +72,6 @@ type Config struct {
 	// RetryBudget is the token pool shared by all retries; each retry
 	// spends one, each success refunds one (up to the cap). Default 32.
 	RetryBudget int
-	// BreakerThreshold opens the breaker after this many consecutive
-	// failures. Default 5.
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before letting
-	// a half-open probe through. Default 2s.
-	BreakerCooldown time.Duration
 	// Seed drives the backoff jitter. Same seed, same jitter sequence.
 	Seed int64
 	// Priority, when set, is sent as the X-Priority header (low | high)
@@ -91,10 +80,6 @@ type Config struct {
 	// HTTPClient overrides the transport; by default a plain
 	// http.Client with the per-attempt timeout.
 	HTTPClient *http.Client
-	// Now overrides the breaker clock. The cluster router injects a
-	// deterministic clock here so a chaos run's breaker transitions are
-	// a pure function of the seed instead of wall time.
-	Now func() time.Time
 	// sleep overrides backoff sleeping in tests.
 	sleep func(ctx context.Context, d time.Duration) error
 }
@@ -114,15 +99,6 @@ func (c *Config) defaults() {
 	}
 	if c.RetryBudget <= 0 {
 		c.RetryBudget = 32
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	if c.sleep == nil {
 		c.sleep = sleepCtx
@@ -146,9 +122,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // Client is a resilient caller of one serving host. Safe for
 // concurrent use; the jitter stream and retry budget are locked.
 type Client struct {
-	cfg     Config
-	http    *http.Client
-	breaker *breaker
+	cfg  Config
+	http *http.Client
 
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -163,11 +138,10 @@ func New(cfg Config) *Client {
 		hc = &http.Client{Timeout: cfg.Timeout}
 	}
 	return &Client{
-		cfg:     cfg,
-		http:    hc,
-		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		budget:  cfg.RetryBudget,
+		cfg:    cfg,
+		http:   hc,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		budget: cfg.RetryBudget,
 	}
 }
 
@@ -193,14 +167,14 @@ func retryable(err error) bool {
 }
 
 // Predict scores instances against the named model, retrying through
-// the backoff schedule, the retry budget, and the circuit breaker.
+// the backoff schedule and the retry budget.
 func (c *Client) Predict(ctx context.Context, modelName string, instances [][]float64) (*serve.PredictResponse, error) {
 	body, err := json.Marshal(serve.PredictRequest{Instances: instances})
 	if err != nil {
 		return nil, fmt.Errorf("client: marshal request: %w", err)
 	}
 	var out serve.PredictResponse
-	err = c.call(ctx, http.MethodPost, "/predict/"+modelName, body, &out)
+	err = c.call(ctx, http.MethodPost, namePath("/predict/", modelName), body, &out)
 	if err != nil {
 		return nil, err
 	}
@@ -226,10 +200,8 @@ func (c *Client) Metrics(ctx context.Context) ([]obs.Metric, error) {
 	return snap, nil
 }
 
-// call drives one logical request through attempts, backoff, budget,
-// and breaker. A breaker-open refusal sleeps until the cooldown allows
-// a probe (counting the wait as an attempt) so the deterministic
-// attempt sequence is preserved rather than failing fast forever.
+// call drives one logical request through attempts, backoff and the
+// retry budget.
 func (c *Client) call(ctx context.Context, method, path string, body []byte, out any) error {
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
@@ -243,31 +215,18 @@ func (c *Client) call(ctx context.Context, method, path string, body []byte, out
 				return err
 			}
 		}
-		if ok, retryAfter := c.breaker.allow(); !ok {
-			breakerFastNos.Inc()
-			lastErr = fmt.Errorf("%w (retry after %v)", ErrBreakerOpen, retryAfter)
-			// Wait out the cooldown so the next attempt can be the
-			// half-open probe; this consumes an attempt like any retry.
-			if err := c.cfg.sleep(ctx, retryAfter); err != nil {
-				return err
-			}
-			continue
-		}
 		attemptsTotal.Inc()
 		err := c.once(ctx, method, path, body, out, "")
 		if err == nil {
-			c.breaker.onSuccess()
 			c.refundRetryToken()
 			return nil
 		}
 		lastErr = err
 		if !retryable(err) {
-			// The caller's bug, not the server's health: no breaker
-			// penalty, no retry.
+			// The caller's bug: no retry.
 			failuresTotal.Inc()
 			return err
 		}
-		c.breaker.onFailure()
 	}
 	failuresTotal.Inc()
 	return fmt.Errorf("client: %d attempts failed: %w", c.cfg.MaxAttempts, lastErr)
@@ -361,34 +320,18 @@ func (c *Client) refundRetryToken() {
 	}
 }
 
-// BreakerState exposes the breaker's current state for tests and
-// operational introspection.
-func (c *Client) BreakerState() string { return c.breaker.state() }
-
-// Try performs exactly one breaker-gated attempt: no retries, no
-// backoff, and — unlike call — no sleeping out an open breaker, which
-// fails fast with ErrBreakerOpen instead. The cluster router
-// (internal/serve/cluster) is the intended caller: it owns one Client
-// per replica and replaces in-place retry with failover to a different
-// replica, so a second attempt against the same host is never the
-// right move. The attempt's outcome still feeds the breaker (a
-// readiness probe through TryReadyz is how a recovered replica closes
-// its circuit again).
+// Try performs exactly one counted attempt: no retries, no backoff.
+// The cluster router (internal/serve/cluster) is the intended caller:
+// it owns one Client per replica and replaces in-place retry with
+// failover to a different replica, so a second attempt against the
+// same host is never the right move. The router reads the outcome
+// through StatusCode to keep its own record of the replica's health.
 func (c *Client) Try(ctx context.Context, method, path string, body []byte, out any, priority string) error {
-	if ok, retryAfter := c.breaker.allow(); !ok {
-		breakerFastNos.Inc()
-		return fmt.Errorf("%w (retry after %v)", ErrBreakerOpen, retryAfter)
-	}
 	attemptsTotal.Inc()
 	err := c.once(ctx, method, path, body, out, priority)
-	if err == nil {
-		c.breaker.onSuccess()
-		return nil
+	if err != nil {
+		failuresTotal.Inc()
 	}
-	if retryable(err) {
-		c.breaker.onFailure()
-	}
-	failuresTotal.Inc()
 	return err
 }
 
@@ -401,26 +344,23 @@ func (c *Client) TryPredict(ctx context.Context, modelName string, instances [][
 		return nil, fmt.Errorf("client: marshal request: %w", err)
 	}
 	var out serve.PredictResponse
-	if err := c.Try(ctx, http.MethodPost, "/predict/"+modelName, body, &out, priority); err != nil {
+	if err := c.Try(ctx, http.MethodPost, namePath("/predict/", modelName), body, &out, priority); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// TryReadyz is a single-attempt readiness probe. Success closes the
-// replica's breaker; failure counts toward opening it — this is the
-// "readiness probes feed the breaker" half of health-gated membership.
+// TryReadyz is a single-attempt readiness probe.
 func (c *Client) TryReadyz(ctx context.Context) error {
 	return c.Try(ctx, http.MethodGet, "/readyz", nil, nil, "")
 }
 
 // TryLoad is a single-attempt PUT /models/{name}: hot-load the artifact
 // whose schema-v1 envelope bytes are data (model.Artifact.Marshal)
-// under name. The name is path-escaped, so the server registers exactly
-// the name the caller gave.
+// under name.
 func (c *Client) TryLoad(ctx context.Context, name string, data []byte) (*serve.ModelInfo, error) {
 	var out serve.ModelInfo
-	if err := c.Try(ctx, http.MethodPut, "/models/"+url.PathEscape(name), data, &out, ""); err != nil {
+	if err := c.Try(ctx, http.MethodPut, namePath("/models/", name), data, &out, ""); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -436,9 +376,9 @@ func (c *Client) TryModels(ctx context.Context) ([]serve.ModelInfo, error) {
 }
 
 // StatusCode extracts the HTTP status carried by an error from this
-// package, or 0 for transport-level failures (refused connections,
-// timeouts) and breaker fast-fails — the cases where the server never
-// answered and a different replica may. Works through %w wrapping.
+// package, or 0 for failures where the server never answered (refused
+// connections, timeouts, a request that could not be sent) and a
+// different replica may. Works through %w wrapping.
 func StatusCode(err error) int {
 	var se *httpStatusError
 	if errors.As(err, &se) {
@@ -446,3 +386,8 @@ func StatusCode(err error) int {
 	}
 	return 0
 }
+
+// namePath is route followed by name as one escaped path segment, so
+// the server sees exactly the name the caller gave, even one holding
+// '%', '?', '#' or '/'.
+func namePath(route, name string) string { return route + url.PathEscape(name) }

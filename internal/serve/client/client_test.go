@@ -1,10 +1,9 @@
 package client
 
-// Property-based and table tests for the client's resilience machinery
-// (ISSUE 4): the backoff schedule's bounds and determinism, the breaker
-// state machine's transitions under every event ordering that matters,
-// the retry budget, and end-to-end retry behavior against flaky
-// in-process servers. Everything runs race-clean (scripts/check.sh).
+// Property-based and table tests for the client's resilience
+// machinery: the backoff schedule's bounds and determinism, the retry
+// budget, and end-to-end retry behavior against flaky in-process
+// servers. Everything runs race-clean (scripts/check.sh).
 
 import (
 	"context"
@@ -18,24 +17,6 @@ import (
 	"testing"
 	"time"
 )
-
-// fakeClock is the injectable breaker clock.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func (f *fakeClock) now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.t
-}
-
-func (f *fakeClock) advance(d time.Duration) {
-	f.mu.Lock()
-	f.t = f.t.Add(d)
-	f.mu.Unlock()
-}
 
 // TestBackoffBoundsProperty: for randomized configs and retry indices,
 // every delay lies in [raw/2, raw] where raw = min(base·2^retry, max).
@@ -103,126 +84,6 @@ func TestBackoffMonotoneNominal(t *testing.T) {
 	}
 }
 
-// TestBreakerStateMachine walks the transition table.
-func TestBreakerStateMachine(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	b := newBreaker(3, time.Second, clk.now)
-
-	if b.state() != "closed" {
-		t.Fatalf("initial state %q", b.state())
-	}
-	// Failures below the threshold keep it closed.
-	b.onFailure()
-	b.onFailure()
-	if b.state() != "closed" {
-		t.Fatalf("after 2/3 failures: %q", b.state())
-	}
-	// A success resets the consecutive count.
-	b.onSuccess()
-	b.onFailure()
-	b.onFailure()
-	if b.state() != "closed" {
-		t.Fatalf("success did not reset the failure run: %q", b.state())
-	}
-	// The third consecutive failure opens it.
-	b.onFailure()
-	if b.state() != "open" {
-		t.Fatalf("after 3 consecutive failures: %q", b.state())
-	}
-	// Open: calls are refused with the remaining cooldown.
-	ok, retryAfter := b.allow()
-	if ok || retryAfter <= 0 || retryAfter > time.Second {
-		t.Fatalf("open allow = (%v, %v)", ok, retryAfter)
-	}
-	// Cooldown elapses: exactly one half-open probe is admitted.
-	clk.advance(time.Second)
-	ok, _ = b.allow()
-	if !ok || b.state() != "half-open" {
-		t.Fatalf("probe admission = %v, state %q", ok, b.state())
-	}
-	ok, _ = b.allow()
-	if ok {
-		t.Fatal("second caller admitted during half-open probe")
-	}
-	// Probe fails: re-open, cooldown restarts.
-	b.onFailure()
-	if b.state() != "open" {
-		t.Fatalf("failed probe left state %q", b.state())
-	}
-	if ok, _ := b.allow(); ok {
-		t.Fatal("re-opened breaker admitted a call before cooldown")
-	}
-	// Probe succeeds after the next cooldown: closed again.
-	clk.advance(time.Second)
-	if ok, _ := b.allow(); !ok {
-		t.Fatal("second probe refused")
-	}
-	b.onSuccess()
-	if b.state() != "closed" {
-		t.Fatalf("successful probe left state %q", b.state())
-	}
-	if ok, _ := b.allow(); !ok {
-		t.Fatal("closed breaker refused a call")
-	}
-}
-
-// TestBreakerPropertyNeverStuck: under a random event sequence the
-// breaker always re-admits traffic after at most one cooldown — there
-// is no ordering that wedges it refusing forever.
-func TestBreakerPropertyNeverStuck(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 100; trial++ {
-		clk := &fakeClock{t: time.Unix(0, 0)}
-		b := newBreaker(1+rng.Intn(5), time.Second, clk.now)
-		for step := 0; step < 50; step++ {
-			if ok, _ := b.allow(); ok {
-				if rng.Intn(2) == 0 {
-					b.onSuccess()
-				} else {
-					b.onFailure()
-				}
-			}
-			if rng.Intn(4) == 0 {
-				clk.advance(time.Duration(rng.Intn(1500)) * time.Millisecond)
-			}
-		}
-		// However the walk ended, one full cooldown must re-admit.
-		clk.advance(time.Second)
-		if ok, _ := b.allow(); !ok {
-			t.Fatalf("trial %d: breaker stuck refusing after a full cooldown (state %s)",
-				trial, b.state())
-		}
-	}
-}
-
-// TestBreakerRaceClean hammers one breaker from many goroutines; run
-// under -race this pins down the locking.
-func TestBreakerRaceClean(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	b := newBreaker(3, time.Millisecond, clk.now)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				if ok, _ := b.allow(); ok {
-					if (g+i)%3 == 0 {
-						b.onFailure()
-					} else {
-						b.onSuccess()
-					}
-				}
-				if i%100 == 0 {
-					clk.advance(time.Millisecond)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	_ = b.state()
-}
-
 // TestRetriesRecoverFromFlakyServer: a server failing the first two
 // attempts with 500 then succeeding must yield a clean result through
 // the retry path.
@@ -252,7 +113,7 @@ func TestRetriesRecoverFromFlakyServer(t *testing.T) {
 }
 
 // TestPermanentFailureNotRetried: a 400 is the caller's bug — exactly
-// one attempt, ErrPermanent, breaker unaffected.
+// one attempt, ErrPermanent.
 func TestPermanentFailureNotRetried(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -270,9 +131,6 @@ func TestPermanentFailureNotRetried(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("400 retried: %d calls", got)
 	}
-	if c.BreakerState() != "closed" {
-		t.Fatalf("4xx moved the breaker to %q", c.BreakerState())
-	}
 }
 
 // TestRetryBudgetExhaustion: with a hard-down server and a tiny budget,
@@ -288,7 +146,7 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	c := New(Config{
 		BaseURL: ts.URL, MaxAttempts: 10, RetryBudget: 2,
 		BackoffBase: time.Millisecond, BackoffMax: time.Millisecond,
-		BreakerThreshold: 100, Seed: 1,
+		Seed: 1,
 	})
 	_, err := c.Predict(context.Background(), "m", [][]float64{{1}})
 	if !errors.Is(err, ErrBudgetExhausted) {
@@ -296,59 +154,6 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 	}
 	if got := calls.Load(); got != 3 { // 1 first try + 2 budgeted retries
 		t.Fatalf("server saw %d calls, want 3", got)
-	}
-}
-
-// TestBreakerOpensAgainstDownServer: enough consecutive failures trip
-// the breaker; subsequent calls fail fast without hitting the wire
-// until the cooldown.
-func TestBreakerOpensAgainstDownServer(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusInternalServerError)
-	}))
-	defer ts.Close()
-
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	noSleep := func(ctx context.Context, _ time.Duration) error { return ctx.Err() }
-	cfg := Config{
-		BaseURL: ts.URL, MaxAttempts: 3, RetryBudget: 100,
-		BackoffBase: time.Millisecond, BackoffMax: time.Millisecond,
-		BreakerThreshold: 3, BreakerCooldown: time.Minute, Seed: 1,
-	}
-	cfg.Now = clk.now
-	cfg.sleep = noSleep
-	c := New(cfg)
-
-	// One call = 3 attempts = 3 consecutive failures: breaker opens.
-	if _, err := c.Predict(context.Background(), "m", [][]float64{{1}}); err == nil {
-		t.Fatal("down server produced a success")
-	}
-	if c.BreakerState() != "open" {
-		t.Fatalf("breaker = %q after threshold failures", c.BreakerState())
-	}
-	wire := calls.Load()
-
-	// While open every attempt is refused before the wire.
-	if _, err := c.Predict(context.Background(), "m", [][]float64{{1}}); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("open-breaker err = %v, want ErrBreakerOpen", err)
-	}
-	if calls.Load() != wire {
-		t.Fatalf("open breaker let %d calls through", calls.Load()-wire)
-	}
-
-	// After the cooldown one probe goes through; it fails, re-opening.
-	clk.advance(time.Minute)
-	_, err := c.Predict(context.Background(), "m", [][]float64{{1}})
-	if err == nil {
-		t.Fatal("probe against a down server succeeded")
-	}
-	if calls.Load() != wire+1 {
-		t.Fatalf("half-open sent %d probes, want 1", calls.Load()-wire)
-	}
-	if c.BreakerState() != "open" {
-		t.Fatalf("failed probe left breaker %q", c.BreakerState())
 	}
 }
 

@@ -1,9 +1,9 @@
 package client
 
 // Tests for the single-attempt Try surface (ISSUE 7) — the cluster
-// router's calling convention: exactly one breaker-gated attempt, no
-// retries, no sleeping out an open breaker, and StatusCode() carrying
-// enough structure for the router to decide propagate-vs-failover.
+// router's calling convention: exactly one counted attempt, no retries,
+// and StatusCode() carrying enough structure for the router to decide
+// propagate-vs-failover and keep its record of replica health.
 
 import (
 	"bytes"
@@ -15,7 +15,8 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
+
+	"repro/internal/obs"
 )
 
 // TestTrySingleAttempt: Try hits the server exactly once, success or
@@ -41,10 +42,11 @@ func TestTrySingleAttempt(t *testing.T) {
 	}
 }
 
-// TestTryBreakerFastFail: once the breaker opens, Try fails fast with
-// ErrBreakerOpen without touching the network, and a successful probe
-// after the cooldown closes it again.
-func TestTryBreakerFastFail(t *testing.T) {
+// TestTryAlwaysAttempts: however many attempts failed before, every
+// Try reaches the server and is counted, and the first one after the
+// server recovers succeeds. The client keeps no verdict on the host;
+// the cluster router's replica health is the only one.
+func TestTryAlwaysAttempts(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
 	var hits atomic.Int64
@@ -58,37 +60,24 @@ func TestTryBreakerFastFail(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	c := New(Config{BaseURL: ts.URL, BreakerThreshold: 2, BreakerCooldown: time.Minute, Now: clk.now})
+	attempts := obs.GetCounter("client.attempts")
+	before := attempts.Value()
+	c := New(Config{BaseURL: ts.URL})
 	ctx := context.Background()
-	for i := 0; i < 2; i++ {
-		if err := c.TryReadyz(ctx); err == nil {
-			t.Fatalf("probe %d against failing server succeeded", i)
+	for i := 0; i < 10; i++ {
+		if err := c.TryReadyz(ctx); StatusCode(err) != http.StatusInternalServerError {
+			t.Fatalf("probe %d against a failing server: %v, want its 500", i, err)
 		}
 	}
-	if st := c.BreakerState(); st != "open" {
-		t.Fatalf("breaker %s after threshold failures, want open", st)
-	}
-	before := hits.Load()
-	err := c.TryReadyz(ctx)
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("open-breaker Try error = %v, want ErrBreakerOpen", err)
-	}
-	if hits.Load() != before {
-		t.Fatal("open-breaker Try still reached the server")
-	}
-	if got := StatusCode(err); got != 0 {
-		t.Fatalf("StatusCode(ErrBreakerOpen) = %d, want 0 (no reply)", got)
-	}
-	// Cooldown elapses on the fake clock; the half-open probe succeeds
-	// and closes the circuit — the readmission path of health gating.
 	failing.Store(false)
-	clk.advance(2 * time.Minute)
 	if err := c.TryReadyz(ctx); err != nil {
-		t.Fatalf("half-open probe: %v", err)
+		t.Fatalf("first probe after recovery: %v", err)
 	}
-	if st := c.BreakerState(); st != "closed" {
-		t.Fatalf("breaker %s after successful probe, want closed", st)
+	if got := hits.Load(); got != 11 {
+		t.Fatalf("server saw %d of 11 attempts", got)
+	}
+	if got := attempts.Value() - before; got != 11 {
+		t.Fatalf("client.attempts rose by %d, want 11", got)
 	}
 }
 
@@ -200,34 +189,5 @@ func TestStatusCodeExtraction(t *testing.T) {
 	}
 	if StatusCode(nil) != 0 {
 		t.Errorf("StatusCode(nil) != 0")
-	}
-}
-
-// TestNowFieldDrivesBreakerClock: the exported Now config field is the
-// breaker's clock — the cluster router injects a frozen clock through
-// it, so an open breaker must not half-open while Now stands still.
-func TestNowFieldDrivesBreakerClock(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusInternalServerError)
-	}))
-	defer ts.Close()
-	clk := &fakeClock{t: time.Unix(0, 0)}
-	c := New(Config{BaseURL: ts.URL, BreakerThreshold: 1, BreakerCooldown: time.Millisecond, Now: clk.now})
-	ctx := context.Background()
-	if err := c.TryReadyz(ctx); err == nil {
-		t.Fatal("probe against 500 server succeeded")
-	}
-	if st := c.BreakerState(); st != "open" {
-		t.Fatalf("breaker %s, want open", st)
-	}
-	// Real time passes; the frozen clock doesn't. The breaker must stay
-	// open (fail fast) no matter how long we wait on the wall.
-	time.Sleep(5 * time.Millisecond)
-	if err := c.TryReadyz(ctx); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("frozen clock: err = %v, want ErrBreakerOpen", err)
-	}
-	clk.advance(time.Second)
-	if err := c.TryReadyz(ctx); errors.Is(err, ErrBreakerOpen) {
-		t.Fatal("advanced clock: breaker still refused the half-open probe")
 	}
 }

@@ -17,13 +17,15 @@
 //     with no coordination, and adding a replica moves only ~1/N of
 //     the models.
 //   - Health-gated membership (replica.go): a replica serves traffic
-//     only while healthy. Readiness probes (GET /readyz through the
-//     replica's own resilient client) feed the client's circuit
-//     breaker — a probe success closes the circuit and marks the
-//     replica up; DownAfter consecutive request or probe failures mark
-//     it down. Routing never consults an unhealthy replica, so a dead
-//     node costs at most DownAfter failed requests fleet-wide before
-//     traffic routes around it.
+//     only while healthy, and its health is the one record that says
+//     so. DownAfter consecutive requests that never reached it, or
+//     failed readiness probes, mark it down; any HTTP answer to a
+//     request proves it up, so a 429 or a 5xx never takes it out. A
+//     successful readiness probe (GET /readyz: the background prober,
+//     ProbeAll, Probe, or the probe after each load) is the way back
+//     in. Routing never consults an unhealthy replica, so a dead node
+//     costs at most DownAfter failed requests fleet-wide before traffic
+//     routes around it.
 //   - Fan-out and merge (router.go): a predict batch of n instances
 //     for a model with k healthy owners is split into k contiguous
 //     chunks scored concurrently, one per owner, and the chunk results
@@ -40,8 +42,7 @@
 //     never silently retried into a different replica: shedding is a
 //     load decision, and rerouting shed traffic would defeat it.
 //     Failover across replicas happens only for failures where the
-//     server never answered (transport errors, breaker fast-fails) or
-//     answered 5xx.
+//     server never answered (transport errors) or answered 5xx.
 //   - Blue/green rollout: PUT /models/{name} on the router, whose body
 //     is the artifact itself, passes the same front checks as on a
 //     single node (a body model.Decode refuses reaches no replica),
@@ -87,28 +88,19 @@ type Config struct {
 	RequestTimeout time.Duration
 	// AttemptTimeout bounds each per-replica attempt. Default 5s.
 	AttemptTimeout time.Duration
-	// DownAfter is how many consecutive failed requests or probes mark
-	// a replica unhealthy. Default 1: route around a node on the first
-	// failure — probes bring it back.
+	// DownAfter is how many consecutive requests that never reached a
+	// replica, or failed probes, mark it unhealthy. Default 1: route
+	// around a node on the first failure — probes bring it back.
 	DownAfter int
 	// SpreadMin is the minimum instance count at which a batch is
 	// split across the model's healthy owners; smaller batches go
 	// whole to the first healthy owner in ring order. Default 8.
 	SpreadMin int
-	// BreakerThreshold and BreakerCooldown configure each replica
-	// client's circuit breaker (see internal/serve/client). Defaults 5
-	// and 2s.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// Seed derives each replica client's jitter stream. The router
 	// itself never draws jitter (it fails over instead of retrying in
 	// place), but the seed keeps any future in-place retry
 	// deterministic.
 	Seed int64
-	// Now is the clock the replica breakers run on. Deterministic
-	// harnesses inject a frozen clock so breaker transitions cannot
-	// depend on wall time. Default time.Now.
-	Now func() time.Time
 }
 
 func (c *Config) defaults() {
@@ -135,14 +127,5 @@ func (c *Config) defaults() {
 	}
 	if c.SpreadMin <= 0 {
 		c.SpreadMin = 8
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 }

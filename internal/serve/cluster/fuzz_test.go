@@ -1,10 +1,14 @@
 package cluster
 
-// FuzzRouterPredict holds the router's POST /predict to the contract
-// FuzzPredictHandler holds a single node to: every body, however
-// malformed, gets either a 200 with one prediction per instance or a
-// 4xx/5xx with an error body, and never a panic (not even one the
-// recovery wrapper would turn into a 500). FuzzRouterLoad does the same
+// FuzzRouterPredict holds the router's POST /predict/{model} to the
+// contract FuzzPredictHandler holds a single node to: every model name
+// and body, however malformed, gets either a 200 with one prediction
+// per instance or a 4xx/5xx with an error body, and never a panic (not
+// even one the recovery wrapper would turn into a 500). A 200 reached
+// the replicas under exactly the name sent, and since both replicas
+// always answer, no input takes either out of service. The one other
+// answer is http.ServeMux's redirect for a path it cleans (a name of
+// "." or "..", say). FuzzRouterLoad does the same
 // for PUT /models/{name}, the contract FuzzLoadHandler holds a single
 // node to, and adds that a body the front refuses reaches no replica.
 // The fuzz job runs both targets via scripts/fuzz.sh.
@@ -15,6 +19,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"path"
 	"strings"
 	"sync"
 	"testing"
@@ -30,51 +36,75 @@ import (
 // fans any multi-row body out across both.
 var (
 	fuzzRouterOnce sync.Once
-	fuzzRouter     http.Handler
+	fuzzRouter     *Router
 	fuzzFakes      []*fakeReplica
 )
 
-func fuzzRouterHandler(tb testing.TB) (http.Handler, []*fakeReplica) {
+func fuzzFleet(tb testing.TB) (*Router, []*fakeReplica) {
 	fuzzRouterOnce.Do(func() {
 		fuzzFakes = make([]*fakeReplica, 2)
 		bases := make([]string, len(fuzzFakes))
 		for i := range bases {
 			// Shared across executions, so never closed: the fuzz
 			// process exit tears the fakes down.
-			fuzzFakes[i] = &fakeReplica{status: http.StatusOK}
+			fuzzFakes[i] = &fakeReplica{}
 			bases[i] = httptest.NewServer(fuzzFakes[i].handler()).URL
 		}
-		rt := NewRouter(Config{Replication: 2, SpreadMin: 2}, bases)
-		if n := rt.ProbeAll(context.Background()); n != len(bases) {
+		fuzzRouter = NewRouter(Config{Replication: 2, SpreadMin: 2}, bases)
+		if n := fuzzRouter.ProbeAll(context.Background()); n != len(bases) {
 			tb.Fatalf("probe: %d/%d healthy", n, len(bases))
 		}
-		fuzzRouter = rt.Handler()
 	})
 	return fuzzRouter, fuzzFakes
 }
 
-func FuzzRouterPredict(f *testing.F) {
-	f.Add([]byte(`{"instances": [[1, 2]]}`))
-	f.Add([]byte(`{"instances": [[1, 2], [3, 4], [5, 6]]}`))
-	f.Add([]byte(`{"instances": []}`))
-	f.Add([]byte(`{"instances": [[]]}`))
-	f.Add([]byte(`{"instances": [[1e308, -1e308]]}`))
-	f.Add([]byte(`{"instances": "not an array"}`))
-	f.Add([]byte(`{"instances": [[null, {}]]}`))
-	f.Add([]byte(`{`))
-	f.Add([]byte(``))
-	f.Add([]byte("\x00\x01\xff binary"))
-	f.Add([]byte(`[[1,2]]`))
+// cleaned reports whether http.ServeMux rewrites the request path p
+// instead of routing it, answering with a redirect to the clean form.
+func cleaned(p string) bool {
+	c := path.Clean(p)
+	if strings.HasSuffix(p, "/") && c != "/" {
+		c += "/"
+	}
+	return c != p
+}
 
-	h, _ := fuzzRouterHandler(f)
+func FuzzRouterPredict(f *testing.F) {
+	for _, body := range []string{
+		`{"instances": [[1, 2]]}`,
+		`{"instances": [[1, 2], [3, 4], [5, 6]]}`,
+		`{"instances": []}`,
+		`{"instances": [[]]}`,
+		`{"instances": [[1e308, -1e308]]}`,
+		`{"instances": "not an array"}`,
+		`{"instances": [[null, {}]]}`,
+		`{`,
+		``,
+		"\x00\x01\xff binary",
+		`[[1,2]]`,
+	} {
+		f.Add("m", []byte(body))
+	}
+	for _, name := range []string{"a%b", "a?b", "a#b", ""} {
+		f.Add(name, []byte(`{"instances": [[1, 2], [3, 4]]}`))
+	}
+
+	rt, fakes := fuzzFleet(f)
+	h := rt.Handler()
 	panics := obs.GetCounter("cluster.panics_recovered")
-	f.Fuzz(func(t *testing.T, body []byte) {
+	f.Fuzz(func(t *testing.T, name string, body []byte) {
 		before := panics.Value()
-		req := httptest.NewRequest(http.MethodPost, "/predict/m", bytes.NewReader(body))
+		hits := []int64{fakes[0].hits.Load(), fakes[1].hits.Load()}
+		target := "/predict/" + url.PathEscape(name)
+		req := httptest.NewRequest(http.MethodPost, target, bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if panics.Value() != before {
-			t.Fatalf("handler panicked for body %q: %s", body, rec.Body.String())
+			t.Fatalf("handler panicked for name %q, body %q: %s", name, body, rec.Body.String())
+		}
+		for _, rep := range rt.Replicas() {
+			if !rep.Healthy() {
+				t.Fatalf("name %q, body %q took replica %d out of service", name, body, rep.Index)
+			}
 		}
 		switch {
 		case rec.Code == http.StatusOK:
@@ -89,13 +119,25 @@ func FuzzRouterPredict(f *testing.F) {
 			if len(presp.Predictions) != len(preq.Instances) {
 				t.Fatalf("%d instances, %d predictions", len(preq.Instances), len(presp.Predictions))
 			}
+			for i, fake := range fakes {
+				if fake.hits.Load() == hits[i] {
+					continue
+				}
+				if got := fake.lastName.Load().(string); got != name {
+					t.Fatalf("name %q reached replica %d as %q", name, i, got)
+				}
+			}
+		case rec.Code >= 300 && rec.Code <= 399:
+			if !cleaned(target) {
+				t.Fatalf("status %d for %s, a path http.ServeMux does not clean", rec.Code, target)
+			}
 		case rec.Code >= 400 && rec.Code <= 599:
 			var eb serve.ErrorBody
 			if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == "" {
 				t.Fatalf("status %d without an error body: %q", rec.Code, rec.Body.String())
 			}
 		default:
-			t.Fatalf("unexpected status %d for body %q", rec.Code, body)
+			t.Fatalf("unexpected status %d for name %q, body %q", rec.Code, name, body)
 		}
 	})
 }
@@ -127,7 +169,8 @@ func FuzzRouterLoad(f *testing.F) {
 	f.Add([]byte(`{"path": "/dev/zero"}`))
 	f.Add([]byte(``))
 
-	h, fakes := fuzzRouterHandler(f)
+	rt, fakes := fuzzFleet(f)
+	h := rt.Handler()
 	panics := obs.GetCounter("cluster.panics_recovered")
 	loads := func() int64 { return fakes[0].loads.Load() + fakes[1].loads.Load() }
 	f.Fuzz(func(t *testing.T, body []byte) {

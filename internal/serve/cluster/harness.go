@@ -21,8 +21,9 @@ import (
 //   - Kill(i) closes replica i's listener, so the router's next attempt
 //     gets a real refused connection — the same failure a crashed node
 //     produces, with none of the timing noise of a child process.
-//   - The router's clock is injectable (Config.Now); tests freeze it so
-//     breaker transitions can't depend on wall time.
+//   - Replica health reads no clock: it moves only on counted events
+//     (a request that never reached the replica, a readiness probe),
+//     so membership churn replays from the seed like everything else.
 //   - LoadDirect registers a model on every owner in-process, skipping
 //     the HTTP rollout (PUT /models/{name} on the router) when a test
 //     only needs traffic, not rollout mechanics.
@@ -40,8 +41,8 @@ type Local struct {
 }
 
 // NewLocal boots n replica servers on loopback and a router over them.
-// Replicas start unprobed (unhealthy); call ProbeAll (or hit the
-// router's /readyz) to admit them. Callers own Close.
+// Replicas start unprobed (unhealthy); call ProbeAll to admit them.
+// Callers own Close.
 func NewLocal(n int, scfg serve.Config, ccfg Config) (*Local, error) {
 	l := &Local{
 		Servers:  make([]*serve.Server, n),

@@ -10,12 +10,11 @@ import (
 	"repro/internal/serve/client"
 )
 
-// Replica is one member of the fleet: its base URL, its own resilient
-// client (so breaker state and metrics are per-replica), and its
-// health. A replica starts unknown/unhealthy — the first successful
-// readiness probe admits it to the serving set. Health transitions are
-// counted per replica (cluster.replica.<i>.{up,down}) so a chaos run's
-// membership churn is visible in the snapshot.
+// Replica is one member of the fleet: its base URL, its own client,
+// and its health. A replica starts unknown/unhealthy — the first
+// successful readiness probe admits it to the serving set. Health
+// transitions are counted per replica (cluster.replica.<i>.{up,down})
+// so a chaos run's membership churn is visible in the snapshot.
 type Replica struct {
 	// Index is the replica's stable position in the fleet — its ring
 	// identity and metric label.
@@ -43,12 +42,9 @@ func newReplica(idx int, base string, cfg Config) *Replica {
 		Index: idx,
 		Base:  base,
 		c: client.New(client.Config{
-			BaseURL:          base,
-			Timeout:          cfg.AttemptTimeout,
-			BreakerThreshold: cfg.BreakerThreshold,
-			BreakerCooldown:  cfg.BreakerCooldown,
-			Seed:             cfg.Seed + int64(idx),
-			Now:              cfg.Now,
+			BaseURL: base,
+			Timeout: cfg.AttemptTimeout,
+			Seed:    cfg.Seed + int64(idx),
 		}),
 		downAfter: cfg.DownAfter,
 		requests:  scope.Counter("requests"),
@@ -66,12 +62,9 @@ func (r *Replica) Healthy() bool {
 	return r.healthy
 }
 
-// BreakerState exposes the replica client's breaker state.
-func (r *Replica) BreakerState() string { return r.c.BreakerState() }
-
 // Probe runs one readiness probe and updates health: success marks the
-// replica up (and, inside the client, closes its breaker); failure
-// counts toward DownAfter like any request failure.
+// replica up; failure, whether the replica never answered or answered
+// that it is not ready, counts toward DownAfter.
 func (r *Replica) Probe(ctx context.Context) error {
 	err := r.c.TryReadyz(ctx)
 	if err != nil {
@@ -84,9 +77,9 @@ func (r *Replica) Probe(ctx context.Context) error {
 
 // predict scores one chunk on this replica, with health bookkeeping.
 // A reply from the server — any status — proves the node is alive, so
-// only transport-level failures (StatusCode 0: refused connections,
-// timeouts, breaker fast-fails) count toward marking it down; a 429 or
-// a 500 is an unhealthy answer, not an unreachable host.
+// only failures where it never answered (StatusCode 0: refused
+// connections, timeouts) count toward marking it down; a 429 or a 500
+// is an unhealthy answer, not an unreachable host.
 func (r *Replica) predict(ctx context.Context, model string, instances [][]float64, priority string) (*serve.PredictResponse, error) {
 	r.requests.Inc()
 	p, err := r.c.TryPredict(ctx, model, instances, priority)

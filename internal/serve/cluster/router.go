@@ -44,8 +44,8 @@ type Router struct {
 }
 
 // NewRouter builds a router over the replica base URLs. Replicas start
-// unhealthy; probe them (ProbeAll, StartProbing, or a GET /readyz,
-// which probes inline) to admit them.
+// unhealthy; probe them (ProbeAll, Replica.Probe, or StartProbing) to
+// admit them.
 func NewRouter(cfg Config, bases []string) *Router {
 	cfg.defaults()
 	rt := &Router{
@@ -133,7 +133,7 @@ func (rt *Router) Close() {
 // bodies:
 //
 //	GET  /readyz           200 while ≥1 replica is healthy and not draining
-//	                       (unhealthy replicas are re-probed inline)
+//	                       (the recorded health; nothing is probed)
 //	GET  /models           per-replica registry listing
 //	PUT  /models/{name}    blue/green rollout across the model's owners
 //	POST /predict/{model}  shard → fan out → merge
@@ -146,24 +146,20 @@ type replicaStatus struct {
 	Replica int    `json:"replica"`
 	Base    string `json:"base"`
 	Healthy bool   `json:"healthy"`
-	Breaker string `json:"breaker"`
 }
 
-func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	// Re-probe only the replicas currently out of the serving set:
-	// cheap when the fleet is healthy, and the path by which a revived
-	// node rejoins without waiting for the background prober.
+// handleReadyz reports the health already recorded and sends nothing
+// over the network: a revived replica rejoins at its next probe, so a
+// readiness check never waits on a host that drops packets.
+func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	healthy := 0
 	statuses := make([]replicaStatus, len(rt.replicas))
 	for i, rep := range rt.replicas {
-		if !rep.Healthy() {
-			rep.Probe(r.Context()) //nolint:errcheck — outcome lands in rep's health
-		}
 		ok := rep.Healthy()
 		if ok {
 			healthy++
 		}
-		statuses[i] = replicaStatus{Replica: rep.Index, Base: rep.Base, Healthy: ok, Breaker: rep.BreakerState()}
+		statuses[i] = replicaStatus{Replica: rep.Index, Base: rep.Base, Healthy: ok}
 	}
 	replicasHealthy.Set(int64(healthy))
 	status := http.StatusOK
@@ -343,11 +339,12 @@ func (rt *Router) handlePredict(ctx context.Context, w http.ResponseWriter, r *h
 
 // routeChunk scores one chunk, starting at avail[start] and failing
 // over through the remaining healthy owners in order. Failover happens
-// only when the replica never answered (transport error, breaker
-// fast-fail) or answered 5xx; a 429 is propagated immediately — a shed
-// request must never be silently retried into a different replica,
-// that would convert load-shedding into load-spreading — and any other
-// 4xx is the caller's bug on every replica alike.
+// only when the replica never answered (transport error) or answered
+// 5xx; a 429 is propagated immediately — a shed request must never be
+// silently retried into a different replica, that would convert
+// load-shedding into load-spreading — and any other 4xx is the
+// caller's bug on every replica alike. Only the unanswered attempts
+// count against a replica's health (Replica.predict).
 func (rt *Router) routeChunk(ctx context.Context, name string, chunk [][]float64, pri serve.Priority, avail []*Replica, start int) chunkResult {
 	var lastErr error
 	for attempt := 0; attempt < len(avail); attempt++ {

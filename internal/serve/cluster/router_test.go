@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,21 +24,31 @@ import (
 	"repro/internal/serve"
 )
 
-// fakeReplica is a scripted stand-in for a serve.Server: always ready,
-// accepting every load, and answering predict with a fixed status while
-// recording what it saw. A predict for the model "stall" never answers:
-// it waits for the caller to give up.
+// fakeReplica is a scripted stand-in for a serve.Server: accepting
+// every load, and answering predict with a scripted status while
+// recording what it saw. Its /readyz answers readyz (200 when zero).
+// With stalls set, a predict for the model "stall" never answers: it
+// waits for the caller to give up.
 type fakeReplica struct {
-	status   int // predict reply status; 200 serves real-looking predictions
+	readyz   int
+	stalls   bool
+	status   atomic.Int64 // predict reply status; 0 or 200 serves real-looking predictions
 	hits     atomic.Int64
+	probes   atomic.Int64 // requests to /readyz
 	loads    atomic.Int64 // requests to /models/{name}
 	lastPrio atomic.Value // string: last X-Priority seen on predict
+	lastName atomic.Value // string: the model name of the last predict
 }
 
 func (f *fakeReplica) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
+		f.probes.Add(1)
+		if f.readyz != 0 {
+			w.WriteHeader(f.readyz)
+			fmt.Fprintln(w, `{"status":"scripted"}`)
+			return
+		}
 		fmt.Fprintln(w, `{"status":"ready"}`)
 	})
 	mux.HandleFunc("/models/", func(w http.ResponseWriter, r *http.Request) {
@@ -48,16 +59,18 @@ func (f *fakeReplica) handler() http.Handler {
 	mux.HandleFunc("/predict/", func(w http.ResponseWriter, r *http.Request) {
 		f.hits.Add(1)
 		f.lastPrio.Store(r.Header.Get("X-Priority"))
-		if r.URL.Path == "/predict/stall" {
+		name := strings.TrimPrefix(r.URL.Path, "/predict/")
+		f.lastName.Store(name)
+		if f.stalls && name == "stall" {
 			// The server notices the caller hang up only once the
 			// body has been read.
 			io.Copy(io.Discard, r.Body) //nolint:errcheck — test fake
 			<-r.Context().Done()
 			return
 		}
-		if f.status != http.StatusOK {
-			w.WriteHeader(f.status)
-			fmt.Fprintf(w, `{"error":"scripted %d"}`, f.status)
+		if st := int(f.status.Load()); st != 0 && st != http.StatusOK {
+			w.WriteHeader(st)
+			fmt.Fprintf(w, `{"error":"scripted %d"}`, st)
 			return
 		}
 		var req serve.PredictRequest
@@ -78,6 +91,14 @@ func (f *fakeReplica) handler() http.Handler {
 	return mux
 }
 
+// start serves f on a loopback listener for the rest of the test and
+// returns its base URL.
+func (f *fakeReplica) start(t testing.TB) string {
+	ts := httptest.NewServer(f.handler())
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
 // fakeCluster boots scripted replicas behind a router and probes them
 // healthy. Returns the router and the fakes indexed like the fleet.
 func fakeCluster(t *testing.T, cfg Config, statuses ...int) (*Router, []*fakeReplica) {
@@ -85,10 +106,9 @@ func fakeCluster(t *testing.T, cfg Config, statuses ...int) (*Router, []*fakeRep
 	fakes := make([]*fakeReplica, len(statuses))
 	bases := make([]string, len(statuses))
 	for i, st := range statuses {
-		fakes[i] = &fakeReplica{status: st}
-		ts := httptest.NewServer(fakes[i].handler())
-		t.Cleanup(ts.Close)
-		bases[i] = ts.URL
+		fakes[i] = &fakeReplica{stalls: true}
+		fakes[i].status.Store(int64(st))
+		bases[i] = fakes[i].start(t)
 	}
 	rt := NewRouter(cfg, bases)
 	t.Cleanup(rt.Close)
@@ -201,46 +221,140 @@ func TestShedLowFirstAtRouter(t *testing.T) {
 
 // Test429NeverRerouted: a replica's 429 propagates to the caller
 // untouched; the router must not convert load-shedding into
-// load-spreading by retrying the request on a different replica.
+// load-spreading by retrying the request on a different replica. A 429
+// is an answer, so however many arrive, the shedding replica stays in
+// service.
 func Test429NeverRerouted(t *testing.T) {
 	rt, fakes := fakeCluster(t, Config{Replication: 2}, http.StatusTooManyRequests, http.StatusTooManyRequests)
 	// Make the primary the scripted 429; identify it via the ring.
 	primary := rt.Owners("m")[0]
 	other := 1 - primary
-	fakes[other].status = http.StatusOK
+	fakes[other].status.Store(http.StatusOK)
 
-	rec := postPredict(rt.Handler(), "m", oneRow, "low")
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429 propagated", rec.Code)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Errorf("propagated 429 lost Retry-After")
+	for i := 0; i < 10; i++ {
+		rec := postPredict(rt.Handler(), "m", oneRow, "low")
+		if rec.Code != http.StatusTooManyRequests {
+			t.Fatalf("request %d: status %d, want 429 propagated", i, rec.Code)
+		}
+		if rec.Header().Get("Retry-After") == "" {
+			t.Errorf("request %d: propagated 429 lost Retry-After", i)
+		}
 	}
 	if got := fakes[other].hits.Load(); got != 0 {
 		t.Errorf("non-primary replica saw %d requests — a 429 was rerouted", got)
 	}
+	if !rt.Replicas()[primary].Healthy() {
+		t.Errorf("a replica answering 429 was taken out of service")
+	}
 }
 
 // TestFailoverOn5xx: a 500 from the primary fails the chunk over to the
-// next owner; the caller sees a clean 200.
+// next owner, and the caller sees a clean 200. A 500 is an answer, so
+// the primary stays in service and serves again as soon as it answers
+// 200.
 func TestFailoverOn5xx(t *testing.T) {
 	rt, fakes := fakeCluster(t, Config{Replication: 2}, http.StatusInternalServerError, http.StatusInternalServerError)
 	primary := rt.Owners("m")[0]
-	fakes[1-primary].status = http.StatusOK
-	before := obs.GetCounter("cluster.failovers").Value()
+	fakes[1-primary].status.Store(http.StatusOK)
+	failovers := obs.GetCounter("cluster.failovers")
+	before := failovers.Value()
 
-	rec := postPredict(rt.Handler(), "m", oneRow, "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d, want 200 via failover: %s", rec.Code, rec.Body.String())
+	for i := 0; i < 10; i++ {
+		if rec := postPredict(rt.Handler(), "m", oneRow, ""); rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d, want 200 via failover: %s", i, rec.Code, rec.Body.String())
+		}
 	}
-	if got := fakes[primary].hits.Load(); got != 1 {
-		t.Errorf("primary hits = %d, want 1", got)
+	if got := fakes[primary].hits.Load(); got != 10 {
+		t.Errorf("primary hits = %d, want 10", got)
 	}
-	if got := fakes[1-primary].hits.Load(); got != 1 {
-		t.Errorf("secondary hits = %d, want 1", got)
+	if got := fakes[1-primary].hits.Load(); got != 10 {
+		t.Errorf("secondary hits = %d, want 10", got)
 	}
-	if got := obs.GetCounter("cluster.failovers").Value(); got != before+1 {
-		t.Errorf("cluster.failovers = %d, want %d", got, before+1)
+	if got := failovers.Value(); got != before+10 {
+		t.Errorf("cluster.failovers = %d, want %d", got, before+10)
+	}
+	if !rt.Replicas()[primary].Healthy() {
+		t.Fatalf("a replica answering 500 was taken out of service")
+	}
+
+	// The primary recovers: the next request is its, with no failover.
+	fakes[primary].status.Store(http.StatusOK)
+	if rec := postPredict(rt.Handler(), "m", oneRow, ""); rec.Code != http.StatusOK {
+		t.Fatalf("after recovery: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := fakes[primary].hits.Load(); got != 11 {
+		t.Errorf("after recovery: primary hits = %d, want 11", got)
+	}
+	if got := fakes[1-primary].hits.Load(); got != 10 {
+		t.Errorf("after recovery: secondary hits = %d, want 10", got)
+	}
+	if got := failovers.Value(); got != before+10 {
+		t.Errorf("after recovery: cluster.failovers = %d, want %d", got, before+10)
+	}
+}
+
+// TestReadyzProbesNothing: the router's /readyz reports the health
+// already recorded and sends nothing over the network, not even to a
+// replica that is out of service.
+func TestReadyzProbesNothing(t *testing.T) {
+	up := &fakeReplica{}
+	notReady := &fakeReplica{readyz: http.StatusServiceUnavailable}
+	rt := NewRouter(Config{Replication: 2}, []string{up.start(t), notReady.start(t)})
+	t.Cleanup(rt.Close)
+	if n := rt.ProbeAll(context.Background()); n != 1 {
+		t.Fatalf("probe: %d healthy, want 1", n)
+	}
+	probes := notReady.probes.Load()
+	h := rt.Handler()
+	for i := 0; i < 3; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+		var reply struct {
+			Healthy  int `json:"healthy"`
+			Replicas []struct {
+				Healthy bool `json:"healthy"`
+			} `json:"replicas"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+			t.Fatalf("readyz %d: %v: %s", i, err, rec.Body.String())
+		}
+		if rec.Code != http.StatusOK || reply.Healthy != 1 || len(reply.Replicas) != 2 || reply.Replicas[1].Healthy {
+			t.Fatalf("readyz %d: status %d: %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	if got := notReady.probes.Load() - probes; got != 0 {
+		t.Errorf("router /readyz probed the unready replica %d times, want 0", got)
+	}
+}
+
+// TestNamesReachReplicaAsSent: a model name holding '%', '?' or '#'
+// reaches the replica under exactly that name, not as a different path
+// or an unparsable URL, and no such name takes a replica out of
+// service.
+func TestNamesReachReplicaAsSent(t *testing.T) {
+	rt, fakes := fakeCluster(t, Config{Replication: 2}, http.StatusOK, http.StatusOK)
+	h := rt.Handler()
+	for _, name := range []string{"a%b", "a?b", "a#b"} {
+		primary := fakes[rt.Owners(name)[0]]
+		hits := primary.hits.Load()
+		rec := postPredict(h, url.PathEscape(name), oneRow, "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%q: status %d: %s", name, rec.Code, rec.Body.String())
+		}
+		if got := primary.hits.Load() - hits; got != 1 {
+			t.Fatalf("%q: primary saw %d requests, want 1", name, got)
+		}
+		if got := primary.lastName.Load().(string); got != name {
+			t.Errorf("%q reached the replica as %q", name, got)
+		}
+	}
+	for _, rep := range rt.Replicas() {
+		if !rep.Healthy() {
+			t.Errorf("replica %d taken out of service by a model name", rep.Index)
+		}
+	}
+	if rec := postPredict(h, "m", oneRow, ""); rec.Code != http.StatusOK {
+		t.Fatalf("/predict/m after the names: status %d: %s", rec.Code, rec.Body.String())
 	}
 }
 
@@ -249,7 +363,7 @@ func TestFailoverOn5xx(t *testing.T) {
 func TestPermanent4xxPropagates(t *testing.T) {
 	rt, fakes := fakeCluster(t, Config{Replication: 2}, http.StatusNotFound, http.StatusNotFound)
 	primary := rt.Owners("m")[0]
-	fakes[1-primary].status = http.StatusOK
+	fakes[1-primary].status.Store(http.StatusOK)
 
 	rec := postPredict(rt.Handler(), "m", oneRow, "")
 	if rec.Code != http.StatusNotFound {
@@ -452,7 +566,8 @@ func TestClusterLifecycle(t *testing.T) {
 		t.Errorf("cluster.rollouts = 0 after a successful rollout")
 	}
 
-	// Readyz admits the loaded owners (inline probe of unhealthy nodes).
+	// The rollout's probe after each load admitted the owners; readyz
+	// reports them.
 	req := httptest.NewRequest(http.MethodGet, "/readyz", nil)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)

@@ -29,7 +29,7 @@ echo "== go test -race =="
 "$GO" test -race ./...
 
 # The cluster chaos storm is the most concurrency-dense path in the
-# repo (router fan-out goroutines, per-replica breakers, node kill);
+# repo (router fan-out goroutines, per-replica health, node kill);
 # its determinism contract must hold at every worker-pool width, so
 # sweep the widths that shift scoring onto different parallel paths.
 echo "== cluster chaos storm at 1/2/8 workers (race) =="

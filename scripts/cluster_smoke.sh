@@ -6,7 +6,9 @@
 #      $WORK/train
 #   3. boot a 3-replica edaserved fleet, each replica from its own copy
 #      of the artifacts, and an edarouter fronting it
-#   4. require 200 from the router's /readyz and a routed /predict
+#   4. wait until the router's /readyz reports all 3 replicas healthy
+#      (its background prober admits them; /readyz itself probes
+#      nothing), then require 200 from a routed /predict
 #   5. kill one replica outright — predictions must keep answering 200
 #      through health-gated failover
 #   6. blue/green rollout: PUT the artifact's bytes, read from
@@ -69,9 +71,10 @@ echo "== boot router =="
 	>"$WORK/router.log" 2>&1 &
 ROUTER_PID=$!
 
+# The kill below is survivable only once every owner is in service.
 ready=""
 for _ in $(seq 1 50); do
-	if curl -fsS "$ROUTER_URL/readyz" >/dev/null 2>&1; then
+	if curl -fsS "$ROUTER_URL/readyz" 2>/dev/null | grep -q '"healthy":3,'; then
 		ready=1
 		break
 	fi
@@ -83,7 +86,7 @@ for _ in $(seq 1 50); do
 	sleep 0.1
 done
 if [ -z "$ready" ]; then
-	echo "cluster_smoke: router never became ready" >&2
+	echo "cluster_smoke: router never reported all 3 replicas healthy" >&2
 	cat "$WORK/router.log" "$WORK"/replica*.log >&2
 	exit 1
 fi
