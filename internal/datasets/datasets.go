@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -250,13 +251,16 @@ func Decode(data []byte) (*Envelope, []Column, [][]float64, error) {
 	return &env, pl.Columns, pl.Rows, nil
 }
 
-// Load reads and decodes a dataset artifact file, refusing oversized
-// files before reading them.
+// Load reads and decodes a dataset artifact file. It reads at most
+// MaxDatasetBytes+1 bytes and leaves the size check to Decode: a
+// stat'd size says nothing about a device or a FIFO, which report 0.
 func Load(path string) (*Envelope, []Column, [][]float64, error) {
-	if fi, err := os.Stat(path); err == nil && fi.Size() > MaxDatasetBytes {
-		return nil, nil, nil, fmt.Errorf("%s: %w: %d bytes > %d", path, ErrOversize, fi.Size(), MaxDatasetBytes)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("datasets: read artifact: %w", err)
 	}
-	data, err := os.ReadFile(path)
+	defer f.Close()
+	data, err := io.ReadAll(io.LimitReader(f, MaxDatasetBytes+1))
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("datasets: read artifact: %w", err)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -232,6 +234,27 @@ func TestSaveAndLoad(t *testing.T) {
 	}
 	if _, _, _, err := Load(dir + "/missing.json"); err == nil {
 		t.Fatal("loading a missing file succeeded")
+	}
+}
+
+// TestLoadOversizedRejected: Load stops one byte past MaxDatasetBytes,
+// for a regular file and for a device that reports size 0 and never
+// ends, and reports ErrOversize instead of reading until memory runs
+// out.
+func TestLoadOversizedRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "huge.json")
+	if err := os.WriteFile(path, make([]byte, MaxDatasetBytes+1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := Load(path); !errors.Is(err, ErrOversize) {
+		t.Fatalf("Load(oversized) = %v, want ErrOversize", err)
+	}
+
+	if _, err := os.Stat("/dev/zero"); err != nil {
+		t.Skipf("no /dev/zero: %v", err)
+	}
+	if _, _, _, err := Load("/dev/zero"); !errors.Is(err, ErrOversize) {
+		t.Fatalf("Load(/dev/zero) = %v, want ErrOversize", err)
 	}
 }
 

@@ -75,9 +75,18 @@ func (s *SlidingGram) Cap() int { return s.cap }
 // slot maps a logical window index to its physical ring slot.
 func (s *SlidingGram) slot(i int) int { return (s.head + i) % s.cap }
 
-// At returns K(i, j) for logical window indices.
-func (s *SlidingGram) At(i, j int) float64 {
-	return s.gram.At(s.slot(i), s.slot(j))
+// Col returns K(·, j) for logical index j in logical order, as at most
+// two contiguous slices split where the ring wraps (the same split for
+// every j). The matrix is exactly symmetric, so this is ring row
+// slot(j). The slices alias the ring, capped at their length, until
+// the next Append.
+func (s *SlidingGram) Col(j int) (lo, hi []float64) {
+	row := s.gram.Row(s.slot(j))
+	if end := s.head + s.n; end <= s.cap {
+		return row[s.head:end:end], nil
+	}
+	wrap := s.head + s.n - s.cap
+	return row[s.head:s.cap:s.cap], row[:wrap:wrap]
 }
 
 // Sample returns the stored sample at logical index i. The slice aliases

@@ -21,6 +21,20 @@ func randRows(r *rand.Rand, n, d int) [][]float64 {
 	return out
 }
 
+// column reads K(·, j) through Col into a fresh slice, checking that the
+// two halves cover the window and are capped at their length.
+func column(t *testing.T, sg *SlidingGram, j int) []float64 {
+	t.Helper()
+	lo, hi := sg.Col(j)
+	if len(lo)+len(hi) != sg.Len() {
+		t.Fatalf("Col(%d) covers %d+%d rows, want %d", j, len(lo), len(hi), sg.Len())
+	}
+	if cap(lo) != len(lo) || cap(hi) != len(hi) {
+		t.Fatalf("Col(%d) halves have spare capacity %d/%d, %d/%d", j, len(lo), cap(lo), len(hi), cap(hi))
+	}
+	return append(append([]float64(nil), lo...), hi...)
+}
+
 // TestSlidingGramMatchesFullRebuild is the incremental path's core
 // contract: after any sequence of appends (with and without eviction),
 // the window's Gram matrix is bit-identical to rebuilding it from
@@ -33,6 +47,7 @@ func TestSlidingGramMatchesFullRebuild(t *testing.T) {
 		HistogramIntersection{},
 	}
 	r := rand.New(rand.NewSource(42))
+	wrapped := false
 	for _, k := range kernels {
 		const capacity, dim = 16, 5
 		sg := NewSlidingGram(k, capacity, dim)
@@ -56,15 +71,25 @@ func TestSlidingGramMatchesFullRebuild(t *testing.T) {
 			}
 			win := sg.Window()
 			full := Gram(k, win)
-			for i := 0; i < sg.Len(); i++ {
-				for j := 0; j < sg.Len(); j++ {
-					if got, want := sg.At(i, j), full.At(i, j); got != want {
-						t.Fatalf("%s step %d: At(%d,%d)=%v, want %v (full rebuild)",
-							k.Name(), step, i, j, got, want)
+			split, _ := sg.Col(0)
+			for j := 0; j < sg.Len(); j++ {
+				if lo, hi := sg.Col(j); len(lo) != len(split) {
+					t.Fatalf("%s step %d: Col(%d) splits at %d, Col(0) at %d", k.Name(), step, j, len(lo), len(split))
+				} else if len(hi) > 0 {
+					wrapped = true
+				}
+				c := column(t, sg, j)
+				for i := 0; i < sg.Len(); i++ {
+					if got, want := c[i], full.At(i, j); got != want {
+						t.Fatalf("%s step %d: Col(%d)[%d]=%v, want %v (full rebuild)",
+							k.Name(), step, j, i, got, want)
 					}
 				}
 			}
 		}
+	}
+	if !wrapped {
+		t.Fatal("no checked window wrapped the ring; the two-slice path went untested")
 	}
 }
 
@@ -95,8 +120,8 @@ func TestSlidingGramWindowOrder(t *testing.T) {
 		t.Fatalf("Len after Reset = %d, want 0", sg.Len())
 	}
 	sg.Append([]float64{9})
-	if got := sg.At(0, 0); got != 81 {
-		t.Fatalf("At(0,0) after Reset+Append = %v, want 81", got)
+	if got := column(t, sg, 0)[0]; got != 81 {
+		t.Fatalf("K(0,0) after Reset+Append = %v, want 81", got)
 	}
 }
 
@@ -113,9 +138,9 @@ func TestSlidingGramWorkerInvariance(t *testing.T) {
 			sg.Append(row)
 		}
 		out := linalg.NewMatrix(sg.Len(), sg.Len())
-		for i := 0; i < sg.Len(); i++ {
-			for j := 0; j < sg.Len(); j++ {
-				out.Set(i, j, sg.At(i, j))
+		for j := 0; j < sg.Len(); j++ {
+			for i, v := range column(t, sg, j) {
+				out.Set(i, j, v)
 			}
 		}
 		return out

@@ -18,6 +18,11 @@ import (
 // BenchmarkIncrementalRefresh measures and scripts/bench_ratchet.sh
 // guards.
 //
+// The solve reads the window through SlidingGram.Col under the
+// solver's column contract: K is exactly symmetric, and Col(j) is
+// K(·, j) in logical order as at most two slices, split where the
+// ring wraps.
+//
 // Warm-start correctness guard: a warm solve that exits without
 // meeting the KKT-gap tolerance is not trusted — the trainer falls
 // back to a cold solve on the same window and counts the event under
@@ -116,7 +121,7 @@ func (t *Trainer) Refresh() (m *svm.OneClass, info svm.SolveInfo, fellBack bool,
 	defer colmat.Put(win)
 	t.sg.WindowInto(win)
 	cfg := svm.OneClassConfig{Nu: t.cfg.Nu, Tol: t.cfg.Tol, MaxIters: t.cfg.MaxIters}
-	m, info, err = svm.FitOneClassPrecomputed(win, t.cfg.Kernel, t.sg.At, cfg, t.prev)
+	m, info, err = svm.FitOneClassPrecomputed(win, t.cfg.Kernel, t.sg.Col, cfg, t.prev)
 	if err != nil {
 		return nil, svm.SolveInfo{}, false, err
 	}
@@ -126,7 +131,7 @@ func (t *Trainer) Refresh() (m *svm.OneClass, info svm.SolveInfo, fellBack bool,
 		// certificate.
 		warmstartFallbacks.Inc()
 		t.falls++
-		m, info, err = svm.FitOneClassPrecomputed(win, t.cfg.Kernel, t.sg.At, cfg, nil)
+		m, info, err = svm.FitOneClassPrecomputed(win, t.cfg.Kernel, t.sg.Col, cfg, nil)
 		if err != nil {
 			return nil, svm.SolveInfo{}, false, err
 		}

@@ -47,7 +47,7 @@ func FitOneClass(x *linalg.Matrix, k kernel.Kernel, cfg OneClassConfig) (*OneCla
 		k = kernel.RBF{Gamma: 1.0 / float64(x.Cols)}
 	}
 	gram := kernel.Gram(k, x)
-	m, _, err := FitOneClassPrecomputed(x, k, gram.At, cfg, nil)
+	m, _, err := FitOneClassPrecomputed(x, k, rowCols(gram), cfg, nil)
 	return m, err
 }
 

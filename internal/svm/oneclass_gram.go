@@ -1,6 +1,10 @@
 package svm
 
-import "errors"
+import (
+	"errors"
+
+	"repro/internal/linalg"
+)
 
 // OneClassGram is a ν-one-class SVM trained directly from a precomputed
 // kernel (Gram) matrix. This is the form the paper's Figure 4 describes:
@@ -14,22 +18,28 @@ type OneClassGram struct {
 }
 
 // FitOneClassGram trains on an n×n kernel matrix. It shares the
-// pairwise coordinate-descent core in solver.go with FitOneClass.
+// pairwise coordinate-descent core in solver.go with FitOneClass. The
+// matrix need not be symmetric: it is copied once, transposed, so the
+// solver reads exactly gram[i][j] wherever it needs K_ij.
 func FitOneClassGram(gram [][]float64, cfg OneClassConfig) (*OneClassGram, error) {
 	n := len(gram)
 	if n == 0 {
 		return nil, errors.New("svm: empty gram matrix")
 	}
-	for _, row := range gram {
+	kt := linalg.NewMatrix(n, n)
+	for i, row := range gram {
 		if len(row) != n {
 			return nil, errors.New("svm: gram matrix must be square")
+		}
+		for j, v := range row {
+			kt.Set(j, i, v)
 		}
 	}
 	cfg.normalize()
 	upper := 1.0 / (cfg.Nu * float64(n))
 
 	alpha := coldStartAlpha(n, cfg.Nu)
-	g, _, _ := solveOneClass(n, func(i, j int) float64 { return gram[i][j] }, cfg, alpha)
+	g, _, _ := solveOneClass(n, rowCols(kt), cfg, alpha)
 	rho := oneClassRho(n, alpha, g, upper)
 	return &OneClassGram{Alpha: alpha, Rho: rho, Nu: cfg.Nu}, nil
 }

@@ -13,11 +13,20 @@ import (
 //
 //	min ½ Σ α_i α_j K_ij  s.t.  Σ α_i = 1,  0 ≤ α_i ≤ 1/(ν n)
 //
-// parameterized by a Gram accessor, so the vector path (FitOneClass),
-// the precomputed-kernel path (FitOneClassGram), and the streaming
-// warm-start path (FitOneClassPrecomputed) run the identical arithmetic
-// in the identical order — the conformance suite's RefitIdentity/Exact
-// contract depends on that.
+// parameterized by a Gram column accessor, so the vector path
+// (FitOneClass), the precomputed-kernel path (FitOneClassGram), and the
+// streaming warm-start path (FitOneClassPrecomputed) run the identical
+// arithmetic in the identical order — the conformance suite's
+// RefitIdentity/Exact contract depends on that.
+//
+// Column contract: col(j) returns K(·, j) in logical order as at most
+// two contiguous slices, lo then hi, that cover n entries and split at
+// the same index for every j. Callers serve column j from row j, which
+// requires K to be exactly symmetric: kernel.Gram and
+// kernel.SlidingGram write both halves of a cell from one Eval, and
+// FitOneClassGram stores its input transposed. A pair update thus
+// streams two contiguous columns, and every g_i receives the same
+// operations in the same order as an element-wise loop.
 
 // SolveInfo reports how a one-class dual solve went. The streaming
 // trainer uses it to carry dual weights across window refreshes and to
@@ -129,22 +138,23 @@ func WarmStartAlpha(prev []float64, n int, nu float64) []float64 {
 }
 
 // solveOneClass runs most-violating-pair coordinate descent from the
-// given feasible alpha (mutated in place). at(i, j) must return K_ij.
-// The returned gradient g_i = Σ_j α_j K_ij is the byproduct every
-// caller needs for ρ extraction.
-func solveOneClass(n int, at func(i, j int) float64, cfg OneClassConfig, alpha []float64) (g []float64, iters int, gap float64) {
+// given feasible alpha (mutated in place). col(j) must return K(·, j)
+// under the column contract above. The returned gradient
+// g_i = Σ_j α_j K_ij is the byproduct every caller needs for ρ
+// extraction.
+func solveOneClass(n int, col func(j int) (lo, hi []float64), cfg OneClassConfig, alpha []float64) (g []float64, iters int, gap float64) {
 	upper := 1.0 / (cfg.Nu * float64(n))
 
-	// Gradient g_i = Σ_j α_j K_ij.
+	// Gradient g = Σ_j α_j K(·, j), one AXPY per nonzero α_j in
+	// ascending j: each g_i accumulates its terms in index order, from
+	// zero, exactly as a per-row sum would.
 	g = make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := 0.0
-		for j := 0; j < n; j++ {
-			if alpha[j] != 0 {
-				s += alpha[j] * at(i, j)
-			}
+	for j, a := range alpha {
+		if a != 0 {
+			lo, hi := col(j)
+			linalg.AXPY(a, lo, g[:len(lo)])
+			linalg.AXPY(a, hi, g[len(lo):])
 		}
-		g[i] = s
 	}
 
 	for it := 0; it < cfg.MaxIters; it++ {
@@ -163,7 +173,9 @@ func solveOneClass(n int, at func(i, j int) float64, cfg OneClassConfig, alpha [
 		if i < 0 || j < 0 || gmax-gmin < cfg.Tol {
 			break
 		}
-		eta := at(i, i) + at(j, j) - 2*at(i, j)
+		ilo, ihi := col(i)
+		jlo, jhi := col(j)
+		eta := cell(ilo, ihi, i) + cell(jlo, jhi, j) - 2*cell(jlo, jhi, i)
 		if eta <= 1e-12 {
 			eta = 1e-12
 		}
@@ -180,12 +192,36 @@ func solveOneClass(n int, at func(i, j int) float64, cfg OneClassConfig, alpha [
 		}
 		alpha[i] += t
 		alpha[j] -= t
-		for r := 0; r < n; r++ {
-			g[r] += t * (at(r, i) - at(r, j))
-		}
+		stepGradient(g[:len(ilo)], t, ilo, jlo)
+		stepGradient(g[len(ilo):], t, ihi, jhi)
 		iters = it + 1
 	}
 	return g, iters, kktGap(n, alpha, g, upper)
+}
+
+// cell returns entry r of a column split into lo and hi.
+func cell(lo, hi []float64, r int) float64 {
+	if r < len(lo) {
+		return lo[r]
+	}
+	return hi[r-len(lo)]
+}
+
+// stepGradient applies g[r] += t·(ki[r] − kj[r]) over one contiguous
+// stretch of two columns, which the column contract splits at the same
+// index.
+func stepGradient(g []float64, t float64, ki, kj []float64) {
+	kj = kj[:len(ki)]
+	g = g[:len(ki)]
+	for r, v := range ki {
+		g[r] += t * (v - kj[r])
+	}
+}
+
+// rowCols serves column j of m as its row j: exact when m is exactly
+// symmetric, or when it holds the Gram matrix transposed.
+func rowCols(m *linalg.Matrix) func(j int) (lo, hi []float64) {
+	return func(j int) (lo, hi []float64) { return m.Row(j), nil }
 }
 
 // kktGap recomputes the most-violating-pair gap at the current point —
@@ -234,10 +270,11 @@ func oneClassRho(n int, alpha, g []float64, upper float64) float64 {
 }
 
 // FitOneClassPrecomputed trains a ν-one-class SVM on the rows of x whose
-// Gram matrix is already available through at (at(i, j) = k(x_i, x_j)).
-// This is the streaming trainer's entry point: kernel.SlidingGram keeps
-// the window's Gram matrix current across appends and evictions, so a
-// refresh pays only the solve, never an O(n²) Gram rebuild.
+// Gram matrix is already available through col, which returns
+// K(·, j) = k(x_·, x_j) under the column contract at the top of this
+// file. This is the streaming trainer's entry point: kernel.SlidingGram
+// keeps the window's Gram matrix current across appends and evictions,
+// so a refresh pays only the solve, never an O(n²) Gram rebuild.
 //
 // warm, when non-nil, is the previous window's dual weights aligned to
 // the current window (evicted rows dropped, appended rows zero); it is
@@ -249,7 +286,7 @@ func oneClassRho(n int, alpha, g []float64, upper float64) float64 {
 // warm start and the convergence certificate (Gap, Converged). A warm
 // start that exits without converging is reported, not hidden: the
 // caller decides whether to refit cold (see stream.Trainer).
-func FitOneClassPrecomputed(x *linalg.Matrix, k kernel.Kernel, at func(i, j int) float64, cfg OneClassConfig, warm []float64) (*OneClass, SolveInfo, error) {
+func FitOneClassPrecomputed(x *linalg.Matrix, k kernel.Kernel, col func(j int) (lo, hi []float64), cfg OneClassConfig, warm []float64) (*OneClass, SolveInfo, error) {
 	n := x.Rows
 	if n == 0 {
 		return nil, SolveInfo{}, errors.New("svm: empty training set")
@@ -265,7 +302,7 @@ func FitOneClassPrecomputed(x *linalg.Matrix, k kernel.Kernel, at func(i, j int)
 	if alpha == nil {
 		alpha = coldStartAlpha(n, cfg.Nu)
 	}
-	g, iters, gap := solveOneClass(n, at, cfg, alpha)
+	g, iters, gap := solveOneClass(n, col, cfg, alpha)
 	info.Alpha = alpha
 	info.Iters = iters
 	info.Gap = gap

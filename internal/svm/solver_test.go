@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -92,7 +93,7 @@ func TestFitOneClassPrecomputedWarmMatchesCold(t *testing.T) {
 	gram := kernel.Gram(k, x)
 	cfg := OneClassConfig{Nu: 0.2, MaxIters: 4000}
 
-	cold, coldInfo, err := FitOneClassPrecomputed(x, k, gram.At, cfg, nil)
+	cold, coldInfo, err := FitOneClassPrecomputed(x, k, rowCols(gram), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestFitOneClassPrecomputedWarmMatchesCold(t *testing.T) {
 
 	// Re-solving from the previous optimum must converge almost
 	// immediately and land on the same decision function.
-	warm, warmInfo, err := FitOneClassPrecomputed(x, k, gram.At, cfg, coldInfo.Alpha)
+	warm, warmInfo, err := FitOneClassPrecomputed(x, k, rowCols(gram), cfg, coldInfo.Alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +126,166 @@ func TestFitOneClassPrecomputedWarmMatchesCold(t *testing.T) {
 		if math.Abs(dw-dc) > 1e-6 {
 			t.Fatalf("probe %d: warm decision %g vs cold %g", i, dw, dc)
 		}
+	}
+}
+
+// refSolveOneClass is the element-accessor form of solveOneClass, kept
+// as the reference the column-streaming solver must match bit for bit:
+// at(i, j) returns K_ij, the gradient is one row sum per i, and each
+// pair update reads the two columns cell by cell.
+func refSolveOneClass(n int, at func(i, j int) float64, cfg OneClassConfig, alpha []float64) (g []float64, iters int, gap float64) {
+	upper := 1.0 / (cfg.Nu * float64(n))
+	g = make([]float64, n)
+	for i := 0; i < n; i++ {
+		s := 0.0
+		for j := 0; j < n; j++ {
+			if alpha[j] != 0 {
+				s += alpha[j] * at(i, j)
+			}
+		}
+		g[i] = s
+	}
+	for it := 0; it < cfg.MaxIters; it++ {
+		i, j := -1, -1
+		gmin, gmax := math.Inf(1), math.Inf(-1)
+		for t := 0; t < n; t++ {
+			if alpha[t] < upper-1e-12 && g[t] < gmin {
+				gmin, i = g[t], t
+			}
+			if alpha[t] > 1e-12 && g[t] > gmax {
+				gmax, j = g[t], t
+			}
+		}
+		if i < 0 || j < 0 || gmax-gmin < cfg.Tol {
+			break
+		}
+		eta := at(i, i) + at(j, j) - 2*at(i, j)
+		if eta <= 1e-12 {
+			eta = 1e-12
+		}
+		t := (g[j] - g[i]) / eta
+		if t > alpha[j] {
+			t = alpha[j]
+		}
+		if t > upper-alpha[i] {
+			t = upper - alpha[i]
+		}
+		if t <= 0 {
+			break
+		}
+		alpha[i] += t
+		alpha[j] -= t
+		for r := 0; r < n; r++ {
+			g[r] += t * (at(r, i) - at(r, j))
+		}
+		iters = it + 1
+	}
+	return g, iters, kktGap(n, alpha, g, upper)
+}
+
+// sameBits fails unless a and b hold the same float64 bit patterns.
+func sameBits(t *testing.T, what string, a, b []float64) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: length %d vs reference %d", what, len(a), len(b))
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("%s[%d] = %v, reference %v", what, i, a[i], b[i])
+		}
+	}
+}
+
+// TestSolveOneClassMatchesReference pins the column-streaming solver to
+// the element-accessor reference: α, g, iterations and the KKT gap
+// agree bit for bit on dense Grams (cold and warm starts), on a sliding
+// window before and after its ring wraps, and through FitOneClassGram
+// on an asymmetric matrix.
+func TestSolveOneClassMatchesReference(t *testing.T) {
+	const dim = 4
+	k := kernel.RBF{Gamma: 0.4}
+	check := func(t *testing.T, n int, col func(int) ([]float64, []float64), at func(i, j int) float64, cfg OneClassConfig, alpha []float64) {
+		t.Helper()
+		cfg.normalize()
+		ref := append([]float64(nil), alpha...)
+		g, iters, gap := solveOneClass(n, col, cfg, alpha)
+		rg, riters, rgap := refSolveOneClass(n, at, cfg, ref)
+		sameBits(t, "alpha", alpha, ref)
+		sameBits(t, "g", g, rg)
+		if iters != riters || math.Float64bits(gap) != math.Float64bits(rgap) {
+			t.Fatalf("iters %d gap %v, reference iters %d gap %v", iters, gap, riters, rgap)
+		}
+		if n > 2 && iters == 0 {
+			t.Fatal("solver took no steps; the case checks nothing")
+		}
+	}
+	for _, n := range []int{1, 2, 7, 64, 300} {
+		cfg := OneClassConfig{Nu: 0.15, MaxIters: 4 * n}
+		x := gaussianCloud(int64(n), n, dim)
+		gram := kernel.Gram(k, x)
+
+		t.Run(fmt.Sprintf("n=%d/dense-cold", n), func(t *testing.T) {
+			check(t, n, rowCols(gram), gram.At, cfg, coldStartAlpha(n, cfg.Nu))
+		})
+		t.Run(fmt.Sprintf("n=%d/dense-warm", n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(n) + 100))
+			prev := make([]float64, n)
+			for i := range prev {
+				prev[i] = rng.Float64()
+			}
+			warm := WarmStartAlpha(prev, n, cfg.Nu)
+			if warm == nil {
+				t.Fatal("warm projection degenerate")
+			}
+			check(t, n, rowCols(gram), gram.At, cfg, warm)
+		})
+		for _, tc := range []struct {
+			name           string
+			capacity, rows int
+		}{
+			{"sliding-unwrapped", n + 5, n},
+			{"sliding-wrapped", n, n + n/3 + 1},
+		} {
+			t.Run(fmt.Sprintf("n=%d/%s", n, tc.name), func(t *testing.T) {
+				stream := gaussianCloud(int64(n)+200, tc.rows, dim)
+				sg := kernel.NewSlidingGram(k, tc.capacity, dim)
+				for i := 0; i < stream.Rows; i++ {
+					sg.Append(stream.Row(i))
+				}
+				if sg.Len() != n {
+					t.Fatalf("window holds %d rows, want %d", sg.Len(), n)
+				}
+				lo, hi := sg.Col(0)
+				if wrapped := len(hi) > 0; wrapped != (tc.rows > tc.capacity && n > 1) {
+					t.Fatalf("window split %d+%d does not match case %s", len(lo), len(hi), tc.name)
+				}
+				full := kernel.Gram(k, sg.Window())
+				check(t, n, sg.Col, full.At, cfg, coldStartAlpha(n, cfg.Nu))
+			})
+		}
+		t.Run(fmt.Sprintf("n=%d/gram-asymmetric", n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(n) + 300))
+			rows := make([][]float64, n)
+			for i := range rows {
+				rows[i] = append([]float64(nil), gram.Row(i)...)
+				for j := range rows[i] {
+					rows[i][j] += 0.05 * rng.Float64()
+				}
+			}
+			m, err := FitOneClassGram(rows, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			norm := cfg
+			norm.normalize()
+			ref := coldStartAlpha(n, norm.Nu)
+			rg, _, _ := refSolveOneClass(n, func(i, j int) float64 { return rows[i][j] }, norm, ref)
+			sameBits(t, "alpha", m.Alpha, ref)
+			upper := 1.0 / (norm.Nu * float64(n))
+			if rho := oneClassRho(n, ref, rg, upper); math.Float64bits(m.Rho) != math.Float64bits(rho) {
+				t.Fatalf("rho %v, reference %v", m.Rho, rho)
+			}
+		})
 	}
 }
 

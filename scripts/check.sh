@@ -77,6 +77,18 @@ for w in 1 2 8; do
 	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestStressPureFunctionOfSeed' ./internal/isa/
 done
 
+# The one-class solver streams Gram columns (kernel.SlidingGram.Col)
+# and must match its element-accessor reference bit for bit, and the
+# loop's trajectory must not move, at every pool width: the width moves
+# SlidingGram.Append across its serial/parallel cutover.
+echo "== one-class solver bit identity at 1/2/8 workers (race) =="
+for w in 1 2 8; do
+	echo "-- REPRO_WORKERS=$w"
+	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestSolveOneClassMatchesReference' ./internal/svm/
+	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestSlidingGram' ./internal/kernel/
+	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestLoopDeterminism|TestWarmStartMatchesColdDecision' ./internal/stream/
+done
+
 # Allocation floors run WITHOUT -race: the race detector instruments
 # allocation sites and would report counts the floors were never set
 # against (alloc_test.go skips itself under -race for the same reason).
