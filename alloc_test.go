@@ -1,10 +1,13 @@
 package repro_test
 
 // Allocation-regression gate (ISSUE 9). Every steady-state numeric hot
-// path — the sliding-window Gram append and every model kind's
-// destination-passing batch scorer — must run allocation-free once its
-// columnar arena is warm. The floors live in scripts/alloc_floor.txt
-// (committed, all zeros); raising one is an explicit, reviewed edit to
+// path — the sliding-window Gram append, every model kind's
+// destination-passing batch scorer, and the single-row kernel
+// expansion the stream scores each candidate with — must run
+// allocation-free once its columnar arena is warm. The shipped serve
+// path (a predict request through edaserved's handler) is floored at
+// its measured count, to be cut. The floors live in
+// scripts/alloc_floor.txt; raising one is an explicit, reviewed edit to
 // that file, never a silent drift. scripts/check.sh and the CI
 // alloc-gate step run exactly this test, without -race (the race
 // detector instruments allocations and would report false counts — see
@@ -12,7 +15,11 @@ package repro_test
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strconv"
 	"strings"
@@ -22,9 +29,12 @@ import (
 	"repro/internal/gp"
 	"repro/internal/kernel"
 	"repro/internal/kernel/approx"
+	"repro/internal/linalg"
 	"repro/internal/linear"
+	"repro/internal/model"
 	"repro/internal/parallel"
 	"repro/internal/rules"
+	"repro/internal/serve"
 	"repro/internal/svm"
 	"repro/internal/testkit"
 	"repro/internal/tree"
@@ -78,6 +88,41 @@ func measureAllocs(fn func()) float64 {
 		allocs = testing.AllocsPerRun(100, fn)
 	}
 	return allocs
+}
+
+// servePredict returns a path that posts the next of bodies, cycling,
+// to /predict/name through h, and counts answers that are not 200 OK
+// into *bad.
+func servePredict(h http.Handler, name string, bodies [][]byte, bad *int) func() {
+	next := 0
+	return func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict/"+name, bytes.NewReader(bodies[next])))
+		if rec.Code != http.StatusOK {
+			*bad++
+		}
+		next = (next + 1) % len(bodies)
+	}
+}
+
+// predictBodies encodes the rows of x as /predict bodies of per rows
+// each. x holds more distinct rows than the shipped score memo, so the
+// cycle never hits it and every request pays for scoring.
+func predictBodies(t *testing.T, x *linalg.Matrix, per int) [][]byte {
+	t.Helper()
+	var bodies [][]byte
+	for lo := 0; lo+per <= x.Rows; lo += per {
+		req := serve.PredictRequest{}
+		for i := lo; i < lo+per; i++ {
+			req.Instances = append(req.Instances, x.Row(i))
+		}
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, b)
+	}
+	return bodies
 }
 
 // TestAllocFloor measures every floored path and compares against the
@@ -156,6 +201,24 @@ func TestAllocFloor(t *testing.T) {
 	}
 	appendRow := dcls.Row(0)
 
+	// The shipped serve path: edaserved's handler at its flag defaults,
+	// one exact kernel model and one tree, 1 and 64 rows per request.
+	srv := serve.New(testkit.ShippedServeConfig)
+	defer srv.Close()
+	for name, m := range map[string]any{"oneclass": oc, "tree": cart} {
+		a, err := model.Encode(m, model.Meta{Name: name})
+		if err != nil {
+			t.Fatalf("encode %s: %v", name, err)
+		}
+		if err := srv.Load(name, a); err != nil {
+			t.Fatalf("load %s: %v", name, err)
+		}
+	}
+	served := testkit.GenProbes(r, dcls, 2*testkit.ShippedServeConfig.CacheRows)
+	oneRow, rows64 := predictBodies(t, served, 1), predictBodies(t, served, 64)
+	bad := 0
+	h := srv.Handler()
+
 	out := make([]float64, probes.Rows)
 	paths := []struct {
 		name string
@@ -176,6 +239,12 @@ func TestAllocFloor(t *testing.T) {
 		{"rules_predict_batch_into", func() { ruleSet.PredictBatchInto(probes, out) }},
 		{"approx_rff_score_batch_into", func() { rffLin.ScoreBatchInto(probes, out) }},
 		{"approx_nystrom_score_batch_into", func() { nysLin.ScoreBatchInto(probes, out) }},
+		{"oneclass_decision", func() { out[0] = oc.Decision(probes.Row(0)) }},
+		{"svc_decision", func() { out[0] = svc.Decision(probes.Row(0)) }},
+		{"serve_predict_1row_oneclass", servePredict(h, "oneclass", oneRow, &bad)},
+		{"serve_predict_64row_oneclass", servePredict(h, "oneclass", rows64, &bad)},
+		{"serve_predict_1row_tree", servePredict(h, "tree", oneRow, &bad)},
+		{"serve_predict_64row_tree", servePredict(h, "tree", rows64, &bad)},
 	}
 
 	measured := map[string]bool{}
@@ -191,6 +260,9 @@ func TestAllocFloor(t *testing.T) {
 		} else {
 			t.Logf("%s: %.1f allocs/op (floor %.0f)", p.name, allocs, floor)
 		}
+	}
+	if bad > 0 {
+		t.Errorf("%d predict requests were not answered 200 OK", bad)
 	}
 	for name := range floors {
 		if !measured[name] {

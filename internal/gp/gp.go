@@ -130,9 +130,7 @@ func (g *Regressor) PredictVarBatch(x *linalg.Matrix) (mu, variance []float64) {
 func (g *Regressor) PredictVar(x []float64) (mu, variance float64) {
 	n := g.X.Rows
 	kx := make([]float64, n)
-	for i := 0; i < n; i++ {
-		kx[i] = g.K.Eval(x, g.X.Row(i))
-	}
+	kernel.EvalRows(g.K, x, g.X.Data, kx)
 	mu = g.mean + linalg.Dot(kx, g.alpha)
 	// v = L⁻¹ kx via forward substitution; var = k(x,x) − vᵀv.
 	v := make([]float64, n)

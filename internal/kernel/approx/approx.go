@@ -245,9 +245,7 @@ func (ny *Nystrom) Name() string { return fmt.Sprintf("nystrom:%d", ny.Dim()) }
 func (ny *Nystrom) Map(x []float64, dst []float64) {
 	m := ny.Landmarks.Rows
 	kx := make([]float64, m)
-	for j := 0; j < m; j++ {
-		kx[j] = ny.K.Eval(x, ny.Landmarks.Row(j))
-	}
+	kernel.EvalRows(ny.K, x, ny.Landmarks.Data, kx)
 	for i := 0; i < m; i++ {
 		row := ny.Whiten.Data[i*m : (i+1)*m]
 		s := 0.0
@@ -327,11 +325,7 @@ func Compile(fm FeatureMap, basis *linalg.Matrix, alpha []float64, bias float64)
 func (l *Linear) Score(x []float64) float64 {
 	if fold := l.foldedWeights(); fold != nil {
 		ny := l.Map.(*Nystrom)
-		s := l.Bias
-		for j := range fold {
-			s += fold[j] * ny.K.Eval(x, ny.Landmarks.Row(j))
-		}
-		return s
+		return kernel.Expand(ny.K, x, ny.Landmarks, fold, l.Bias)
 	}
 	z := make([]float64, len(l.W))
 	return l.scoreWithScratch(x, z)
@@ -363,12 +357,7 @@ func (l *Linear) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 {
 	if fold := l.foldedWeights(); fold != nil {
 		ny := l.Map.(*Nystrom)
 		for i := range out {
-			xi := x.Row(i)
-			s := l.Bias
-			for j := range fold {
-				s += fold[j] * ny.K.Eval(xi, ny.Landmarks.Row(j))
-			}
-			out[i] = s
+			out[i] = kernel.Expand(ny.K, x.Row(i), ny.Landmarks, fold, l.Bias)
 		}
 		return out
 	}

@@ -119,6 +119,50 @@ func (HistogramIntersection) Eval(a, b []float64) float64 {
 // Name implements Kernel.
 func (HistogramIntersection) Name() string { return "histogram-intersection" }
 
+// EvalRows writes out[j] = k(x, row j) for the row-major rows, len(x)
+// wide, that rows holds; it panics unless len(rows) == len(out)·len(x).
+// It is the one way a kernel row is computed. RBF takes the squared
+// distances four rows at a time (linalg.Dist2Rows) and then one exp per
+// cell; every other kernel calls Eval row by row. Each value is
+// bit-identical to k.Eval(x, row j).
+func EvalRows(k Kernel, x, rows, out []float64) {
+	d := len(x)
+	if len(rows) != len(out)*d {
+		panic(fmt.Sprintf("kernel: EvalRows has %d values for %d rows of width %d", len(rows), len(out), d))
+	}
+	if r, ok := k.(RBF); ok {
+		linalg.Dist2Rows(x, rows, out)
+		for j, d2 := range out {
+			out[j] = math.Exp(-r.Gamma * d2)
+		}
+		return
+	}
+	for j := range out {
+		out[j] = k.Eval(x, rows[j*d:(j+1)*d])
+	}
+}
+
+// expandChunk is how many kernel values Expand holds at a time, in an
+// array on its stack, so an expansion allocates nothing.
+const expandChunk = 64
+
+// Expand returns s + Σ_j coef[j]·k(x, basis row j), accumulated in row
+// order: the decision function of every kernel expansion (SVC, SVR,
+// one-class, folded Nyström). The kernel values come from EvalRows,
+// expandChunk rows at a time.
+func Expand(k Kernel, x []float64, basis *linalg.Matrix, coef []float64, s float64) float64 {
+	var buf [expandChunk]float64
+	d := basis.Cols
+	for lo := 0; lo < basis.Rows; lo += expandChunk {
+		kv := buf[:min(expandChunk, basis.Rows-lo)]
+		EvalRows(k, x, basis.Data[lo*d:(lo+len(kv))*d], kv)
+		for j, v := range kv {
+			s += coef[lo+j] * v
+		}
+	}
+	return s
+}
+
 // QuadFeatureMap is the explicit feature map Φ of the paper's Figure 3 for
 // 2-D inputs: Φ(x1,x2) = (x1², x2², √2·x1·x2). It exists to demonstrate the
 // kernel trick: Poly{Degree:2,Gamma:1}.Eval(a,b) == <Φ(a), Φ(b)>.
@@ -162,18 +206,19 @@ func GramInto(k Kernel, x, g *linalg.Matrix) {
 }
 
 // gramRange fills rows [lo, hi) of the symmetric sweep: each pair
-// {i, j} is evaluated exactly once by the worker owning row min(i, j),
-// which writes both halves — the same expression as the serial loop.
+// {i, j} is evaluated exactly once, as k(x_i, x_j), by the worker
+// owning row i = min(i, j) — one EvalRows call for row i against rows
+// i+1…n−1 — which then mirrors the row into column i.
 func gramRange(k Kernel, x, g *linalg.Matrix, lo, hi int) {
-	n := x.Rows
+	n, d := x.Rows, x.Cols
 	evals := int64(0)
 	for i := lo; i < hi; i++ {
 		xi := x.Row(i)
-		g.Set(i, i, k.Eval(xi, xi))
+		gi := g.Row(i)
+		gi[i] = k.Eval(xi, xi)
+		EvalRows(k, xi, x.Data[(i+1)*d:n*d], gi[i+1:n])
 		for j := i + 1; j < n; j++ {
-			v := k.Eval(xi, x.Row(j))
-			g.Set(i, j, v)
-			g.Set(j, i, v)
+			g.Set(j, i, gi[j])
 		}
 		evals += int64(n - i)
 	}
@@ -212,11 +257,7 @@ func CrossGramInto(k Kernel, a, b, g *linalg.Matrix) {
 
 func crossGramRange(k Kernel, a, b, g *linalg.Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		ai := a.Row(i)
-		gi := g.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			gi[j] = k.Eval(ai, b.Row(j))
-		}
+		EvalRows(k, a.Row(i), b.Data, g.Row(i))
 	}
 	crossGramCells.Add(int64(hi-lo) * int64(b.Rows))
 }

@@ -28,13 +28,17 @@ var (
 // no memory is allocated after construction. Logical index 0 is always
 // the oldest sample in the window.
 //
-// Determinism: each new cell is produced by exactly one k.Eval call
+// Determinism: each new cell is produced by exactly one kernel
+// evaluation, k(new, old) — the newcomer is EvalRows' x and the retained
+// samples its rows, one call per contiguous stretch of the ring — and
 // written to both symmetric halves, striped over the worker pool, so the
-// matrix is bit-identical at any worker count. For the kernels in this
-// package Eval is exactly symmetric in IEEE arithmetic (Dot, Dist2, and
-// min accumulate in index order of the vectors, not of the arguments),
-// so the window's matrix is bit-identical to Gram(k, Window()) — the
-// sliding_test contract.
+// matrix is bit-identical at any worker count. Gram evaluates the same
+// pair as k(old, new). Every kernel in this package is exactly symmetric
+// on finite inputs (Dot, Dist2 and min accumulate in index order of the
+// vectors, not of the arguments, and (a−b)² equals (b−a)² exactly), so
+// the window's matrix is bit-identical to Gram(k, Window()) — the
+// sliding_test contract. HistogramIntersection is not symmetric when an
+// argument is NaN: minOf(NaN, b) is b, while minOf(b, NaN) is NaN.
 //
 // Not safe for concurrent use; the streaming loop appends serially.
 type SlidingGram struct {
@@ -116,9 +120,8 @@ func (s *SlidingGram) Append(x []float64) (evicted bool) {
 	}
 	copy(s.samples.Row(slot), x)
 	xi := s.samples.Row(slot)
-	// The new row: the newcomer is the highest logical index, so every
-	// pair is evaluated as k(old, new) — the same orientation Gram uses
-	// for i < j — keeping the window bit-identical to a full rebuild.
+	// The new row: every pair is evaluated as k(new, old), which equals
+	// the k(old, new) a full rebuild computes (see the type's doc).
 	prior := s.n - 1
 	if evicted {
 		prior = s.cap - 1
@@ -142,13 +145,20 @@ func (s *SlidingGram) Append(x []float64) (evicted bool) {
 }
 
 // appendRange evaluates the new sample's kernel row against retained
-// logical indices [lo, hi), writing both symmetric halves.
+// logical indices [lo, hi), writing both symmetric halves. The indices
+// occupy at most two physical stretches of the ring (split where it
+// wraps); each is one EvalRows call into row slot, then mirrored into
+// column slot.
 func (s *SlidingGram) appendRange(slot int, xi []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		pi := s.slot(i)
-		v := s.k.Eval(s.samples.Row(pi), xi)
-		s.gram.Set(pi, slot, v)
-		s.gram.Set(slot, pi, v)
+	row := s.gram.Row(slot)
+	for i := lo; i < hi; {
+		p := s.slot(i)
+		end := p + min(hi-i, s.cap-p)
+		EvalRows(s.k, xi, s.samples.Data[p*s.dim:end*s.dim], row[p:end])
+		for q := p; q < end; q++ {
+			s.gram.Set(q, slot, row[q])
+		}
+		i += end - p
 	}
 	incGramCells.Add(int64(hi - lo))
 }

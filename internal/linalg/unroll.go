@@ -1,5 +1,7 @@
 package linalg
 
+import "fmt"
+
 // Unrolled flat-loop primitives for the numeric hot paths (ROADMAP
 // item 1). Every kernel here preserves the exact operation sequence of
 // the plain range loop it replaces — reductions keep a single
@@ -15,6 +17,12 @@ package linalg
 // one accumulator, not four: four partial sums would reassociate the
 // IEEE-754 addition order and break the repo-wide bit-identity
 // contract (testkit's DiffPaths oracle compares paths bit for bit).
+//
+// Dist2Rows is not a reduction split four ways. It interleaves four
+// outputs — four rows against one x — and each output keeps its own
+// single chain, summing its terms in index order exactly as Dist2
+// does. The adds of one row still wait on each other, but the CPU
+// overlaps the four chains, and no value changes.
 
 // dotUnrolled returns Σ a[i]·b[i] with the same single-accumulator
 // order as a plain loop. len(b) must be ≥ len(a); the explicit reslice
@@ -57,6 +65,40 @@ func dist2Unrolled(a, b []float64) float64 {
 		s += d * d
 	}
 	return s
+}
+
+// Dist2Rows writes out[j] = Dist2(x, row j) for the row-major rows,
+// len(x) wide, that rows holds; it panics unless len(rows) ==
+// len(out)·len(x), so a width mismatch can never misalign the rows.
+// Rows go four at a time, each with its own accumulator summing in
+// index order (see the header), so every value is bit-identical to
+// Dist2; fewer than four trailing rows go through dist2Unrolled.
+func Dist2Rows(x, rows, out []float64) {
+	d := len(x)
+	if len(rows) != len(out)*d {
+		panic(fmt.Sprintf("linalg: Dist2Rows has %d values for %d rows of width %d", len(rows), len(out), d))
+	}
+	j := 0
+	for ; j+4 <= len(out); j += 4 {
+		r := rows[j*d:]
+		r0, r1, r2, r3 := r[:d], r[d:][:d], r[2*d:][:d], r[3*d:][:d]
+		var s0, s1, s2, s3 float64
+		for i, v := range x {
+			d0 := v - r0[i]
+			s0 += d0 * d0
+			d1 := v - r1[i]
+			s1 += d1 * d1
+			d2 := v - r2[i]
+			s2 += d2 * d2
+			d3 := v - r3[i]
+			s3 += d3 * d3
+		}
+		o := out[j : j+4]
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+	}
+	for ; j < len(out); j++ {
+		out[j] = dist2Unrolled(x, rows[j*d:(j+1)*d])
+	}
 }
 
 // addScaled computes dst[i] += a·src[i] for every i. Each element

@@ -151,3 +151,64 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		}
 	}
 }
+
+// dist2RowsValue draws one input for TestDist2RowsMatchesDist2: mostly
+// unit-scale normals, salted with ±0, subnormals and magnitudes near
+// 1e±150, whose squares sit at the ends of the float64 range, so that
+// summing a row's terms in any order but index order changes bits.
+func dist2RowsValue(r *rand.Rand) float64 {
+	switch r.Intn(8) {
+	case 0:
+		return []float64{0, math.Copysign(0, -1)}[r.Intn(2)]
+	case 1:
+		return math.SmallestNonzeroFloat64 * float64(1+r.Intn(1<<20)) * float64(1-2*r.Intn(2))
+	case 2:
+		return r.NormFloat64() * 1e150
+	case 3:
+		return r.NormFloat64() * 1e-150
+	default:
+		return r.NormFloat64()
+	}
+}
+
+// TestDist2RowsMatchesDist2 is Dist2Rows' oracle: every output equals
+// Dist2 against its row bit for bit, across the four-row blocks and the
+// one-to-three-row tails, at every width.
+func TestDist2RowsMatchesDist2(t *testing.T) {
+	r := rand.New(rand.NewSource(2026))
+	counts := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65}
+	for d := 1; d <= 17; d++ {
+		for _, n := range counts {
+			x := make([]float64, d)
+			rows := make([]float64, n*d)
+			for i := range x {
+				x[i] = dist2RowsValue(r)
+			}
+			for i := range rows {
+				rows[i] = dist2RowsValue(r)
+			}
+			out := make([]float64, n)
+			Dist2Rows(x, rows, out)
+			for j, got := range out {
+				if want := Dist2(x, rows[j*d:(j+1)*d]); !bitsEqual(got, want) {
+					t.Fatalf("d=%d n=%d row %d: got %x want %x", d, n, j, math.Float64bits(got), math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+// TestDist2RowsPanicsOnWidthMismatch: rows that are not a whole number
+// of len(x)-wide rows for len(out) outputs must panic, not misalign.
+func TestDist2RowsPanicsOnWidthMismatch(t *testing.T) {
+	for _, c := range []struct{ d, vals, n int }{{3, 8, 2}, {4, 8, 3}, {0, 1, 1}, {2, 0, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("d=%d with %d values for %d rows did not panic", c.d, c.vals, c.n)
+				}
+			}()
+			Dist2Rows(make([]float64, c.d), make([]float64, c.vals), make([]float64, c.n))
+		}()
+	}
+}

@@ -53,11 +53,7 @@ func FitOneClass(x *linalg.Matrix, k kernel.Kernel, cfg OneClassConfig) (*OneCla
 
 // Decision returns Σ α_i k(x, x_i) − ρ; negative means novel.
 func (m *OneClass) Decision(x []float64) float64 {
-	s := -m.Rho
-	for i := 0; i < m.SV.Rows; i++ {
-		s += m.Alpha[i] * m.K.Eval(x, m.SV.Row(i))
-	}
-	return s
+	return kernel.Expand(m.K, x, m.SV, m.Alpha, -m.Rho)
 }
 
 // DecisionBatchInto writes Decision for every row of x into out (length

@@ -176,11 +176,7 @@ func RestoreSVC(k kernel.Kernel, sv *linalg.Matrix, alpha []float64, b float64, 
 // Decision returns the signed margin M(x) of paper Eq. 2; positive means
 // the second class.
 func (m *SVC) Decision(x []float64) float64 {
-	s := m.B
-	for i := 0; i < m.SV.Rows; i++ {
-		s += m.Alpha[i] * m.K.Eval(x, m.SV.Row(i))
-	}
-	return s
+	return kernel.Expand(m.K, x, m.SV, m.Alpha, m.B)
 }
 
 // DecisionBatchInto writes Decision for every row of x into out (length

@@ -179,11 +179,7 @@ func medianOf(xs []float64) float64 {
 
 // Predict returns f(x).
 func (m *SVR) Predict(x []float64) float64 {
-	s := m.B
-	for i := 0; i < m.SV.Rows; i++ {
-		s += m.Beta[i] * m.K.Eval(x, m.SV.Row(i))
-	}
-	return s
+	return kernel.Expand(m.K, x, m.SV, m.Beta, m.B)
 }
 
 // PredictAll predicts every row of d.

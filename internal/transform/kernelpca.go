@@ -80,10 +80,10 @@ func FitKernelPCA(x *linalg.Matrix, k kernel.Kernel, comps int) (*KernelPCA, err
 func (m *KernelPCA) TransformVec(v []float64) []float64 {
 	n := m.X.Rows
 	kx := make([]float64, n)
+	kernel.EvalRows(m.K, v, m.X.Data, kx)
 	mu := 0.0
-	for i := 0; i < n; i++ {
-		kx[i] = m.K.Eval(v, m.X.Row(i))
-		mu += kx[i]
+	for _, kv := range kx {
+		mu += kv
 	}
 	mu /= float64(n)
 	// Center the kernel row against the training statistics.

@@ -89,6 +89,22 @@ for w in 1 2 8; do
 	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestLoopDeterminism|TestWarmStartMatchesColdDecision' ./internal/stream/
 done
 
+# Every kernel row goes through kernel.EvalRows (for RBF, squared
+# distances four rows at a time in linalg.Dist2Rows), and every value,
+# expansion and Gram built on it must match its per-cell reference bit
+# for bit at every pool width: the width moves gramRange,
+# crossGramRange and SlidingGram's appendRange across their
+# serial/parallel cutovers, and moves where appendRange's chunks meet
+# the ring's wrap.
+echo "== kernel rows bit identity at 1/2/8 workers (race) =="
+for w in 1 2 8; do
+	echo "-- REPRO_WORKERS=$w"
+	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestDist2RowsMatchesDist2' ./internal/linalg/
+	REPRO_WORKERS="$w" "$GO" test -race -count=1 \
+		-run 'TestEvalRowsMatchesEval|TestGramParallelMatchesSerial|TestCrossGramParallelMatchesSerial|TestSlidingGram' ./internal/kernel/
+	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestExpandMatchesLoop' ./internal/svm/
+done
+
 # Allocation floors run WITHOUT -race: the race detector instruments
 # allocation sites and would report counts the floors were never set
 # against (alloc_test.go skips itself under -race for the same reason).
