@@ -128,8 +128,12 @@ func checksum(payload []byte) (string, error) {
 	if err := json.Compact(&buf, payload); err != nil {
 		return "", fmt.Errorf("model: compact payload: %w", err)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:]), nil
+	return sha256Hex(buf.Bytes()), nil
+}
+
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // Encode wraps a fitted model in a schema-v1 envelope. The model must
@@ -140,10 +144,9 @@ func Encode(m any, meta Meta) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum, err := checksum(payload)
-	if err != nil {
-		return nil, err
-	}
+	// json.Marshal writes compact JSON, so the payload needs no
+	// json.Compact before it is hashed: its hash is checksum(payload).
+	sum := sha256Hex(payload)
 	rev, _ := obs.BuildRevision()
 	var aspec *ApproxSpec
 	if am, ok := m.(*ApproxModel); ok {

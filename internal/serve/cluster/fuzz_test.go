@@ -81,6 +81,13 @@ func FuzzRouterPredict(f *testing.F) {
 		``,
 		"\x00\x01\xff binary",
 		`[[1,2]]`,
+		`{"instances": [[1, null]]}`,
+		`{"instances": [null]}`,
+		`{"instances": null}`,
+		`{"instances": [[5]], "instances": [[null]]}`,
+		`{"instances": [[5, 1]], "instances": [[null, 1]]}`,
+		`{"instances": [[5, 1]], "instances": [[7, 1]]}`,
+		`{"instances": [[5, 1]], "instances": null}`,
 	} {
 		f.Add("m", []byte(body))
 	}

@@ -267,7 +267,7 @@ func (rt *Router) handlePredict(ctx context.Context, w http.ResponseWriter, r *h
 	if !ok {
 		return
 	}
-	req, ok := serve.DecodePredict(w, body)
+	in, ok := serve.DecodePredict(w, body)
 	if !ok {
 		return
 	}
@@ -306,7 +306,7 @@ func (rt *Router) handlePredict(ctx context.Context, w http.ResponseWriter, r *h
 	// Fan out: split the batch into one contiguous chunk per healthy
 	// owner (whole-batch to the primary when it is too small to be
 	// worth spreading), score chunks concurrently, merge in order.
-	chunks := splitChunks(req.Instances, len(avail), rt.cfg.SpreadMin)
+	chunks := splitChunks(in.Rows(), len(avail), rt.cfg.SpreadMin)
 	if len(chunks) > 1 {
 		fanouts.Inc()
 	}
@@ -323,7 +323,7 @@ func (rt *Router) handlePredict(ctx context.Context, w http.ResponseWriter, r *h
 	wg.Wait()
 
 	kind := ""
-	preds := make([]float64, 0, len(req.Instances))
+	preds := make([]float64, 0, in.Len())
 	for _, res := range results {
 		if res.err != nil {
 			rt.chunkError(w, res)

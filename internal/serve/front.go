@@ -21,7 +21,8 @@ import (
 // instead.
 const MaxRequestBytes = 32 << 20
 
-// PredictRequest is the body of POST /predict/{model}.
+// PredictRequest is the body of POST /predict/{model}, as clients encode
+// it. The servers decode it into Instances (see DecodePredict).
 type PredictRequest struct {
 	Instances [][]float64 `json:"instances"`
 }
@@ -244,19 +245,19 @@ func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, bool
 	return body, true
 }
 
-// DecodePredict parses a predict body. It answers 400 on bad JSON or an
-// empty instance list.
-func DecodePredict(w http.ResponseWriter, body []byte) (PredictRequest, bool) {
-	var req PredictRequest
+// DecodePredict parses a predict body into its instances. It answers
+// 400 on bad JSON, a null row or value, or an empty instance list.
+func DecodePredict(w http.ResponseWriter, body []byte) (Instances, bool) {
+	var req predictBody
 	if err := json.Unmarshal(body, &req); err != nil {
 		Error(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return req, false
+		return Instances{}, false
 	}
-	if len(req.Instances) == 0 {
+	if req.Instances.Len() == 0 {
 		Error(w, http.StatusBadRequest, "no instances")
-		return req, false
+		return Instances{}, false
 	}
-	return req, true
+	return req.Instances, true
 }
 
 func handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -248,12 +248,12 @@ func TestCloseBoundedUnderInjectedStall(t *testing.T) {
 // then abandons the goroutine and returns false.
 func TestCloseWithinAbandonsTrueStall(t *testing.T) {
 	release := make(chan struct{})
-	score := func(context.Context, *linalg.Matrix) ([]float64, error) {
+	score := func(context.Context, *linalg.Matrix, []float64) error {
 		<-release // a true stall: no ctx arm
-		return nil, errors.New("released")
+		return errors.New("released")
 	}
 	b := newBatcher(score, 1, 1)
-	ch, err := b.submit(context.Background(), []float64{1})
+	ch, err := b.submit(context.Background(), column(1), make([]float64, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +269,8 @@ func TestCloseWithinAbandonsTrueStall(t *testing.T) {
 		t.Fatalf("closeWithin took %v, want ~deadline+grace", elapsed)
 	}
 	close(release) // unblock the abandoned goroutine so the test exits clean
-	if resp := <-ch; resp.err == nil {
-		t.Fatalf("abandoned request got a value: %+v", resp)
+	if err := <-ch; err == nil {
+		t.Fatal("abandoned request got a value")
 	}
 }
 
@@ -278,17 +278,17 @@ func TestCloseWithinAbandonsTrueStall(t *testing.T) {
 // happy — a healthy queue drains normally well inside the deadline and
 // every accepted request is answered.
 func TestCloseWithinDrainsCleanQueue(t *testing.T) {
-	score := func(_ context.Context, x *linalg.Matrix) ([]float64, error) {
-		out := make([]float64, x.Rows)
+	score := func(_ context.Context, x *linalg.Matrix, out []float64) error {
 		for i := range out {
 			out[i] = x.Row(i)[0] + 1
 		}
-		return out, nil
+		return nil
 	}
 	b := newBatcher(score, 1, 4)
-	var chans []<-chan batchResponse
-	for i := 0; i < 16; i++ {
-		ch, err := b.submit(context.Background(), []float64{float64(i)})
+	var chans []<-chan error
+	values := make([]float64, 16)
+	for i := range values {
+		ch, err := b.submit(context.Background(), column(float64(i)), values[i:i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,9 +298,8 @@ func TestCloseWithinDrainsCleanQueue(t *testing.T) {
 		t.Fatal("clean queue reported as stalled")
 	}
 	for i, ch := range chans {
-		resp := <-ch
-		if resp.err != nil || resp.value != float64(i)+1 {
-			t.Fatalf("request %d: %+v", i, resp)
+		if err := <-ch; err != nil || values[i] != float64(i)+1 {
+			t.Fatalf("request %d: value %v, error %v", i, values[i], err)
 		}
 	}
 }
@@ -310,11 +309,11 @@ func TestCloseWithinDrainsCleanQueue(t *testing.T) {
 func TestSubmitHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	b := newBatcher(func(_ context.Context, x *linalg.Matrix) ([]float64, error) {
-		return make([]float64, x.Rows), nil
+	b := newBatcher(func(context.Context, *linalg.Matrix, []float64) error {
+		return nil
 	}, 1, 1)
 	defer b.close()
-	if _, err := b.submit(ctx, []float64{1}); !errors.Is(err, context.Canceled) {
+	if _, err := b.submit(ctx, column(1), make([]float64, 1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("submit with canceled ctx = %v, want context.Canceled", err)
 	}
 }

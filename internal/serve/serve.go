@@ -11,15 +11,19 @@
 //     freshly trained artifact can enter a running fleet without a
 //     restart, and without a filesystem shared with its sender. The
 //     package opens no file.
-//   - A micro-batching queue per model (see batcher.go) scores the rows
-//     already waiting, up to Config.MaxBatch, in one call that amortizes
-//     kernel/Gram evaluation through internal/parallel. Batching is
-//     load-driven: a lone row is scored at once, and the rows that
-//     arrive while a batch is scored form the next batch.
+//   - Work is done once per request, not once per row. A predict body
+//     decodes straight into one row-major matrix (see instances.go),
+//     which enters the model's micro-batching queue (see batcher.go) as
+//     one item. The queue scores the rows already waiting, up to
+//     Config.MaxBatch, in one call that amortizes kernel/Gram
+//     evaluation through internal/parallel, splitting a longer request
+//     over consecutive batches. Batching is load-driven: a lone request
+//     is scored at once, and the requests that arrive while a batch is
+//     scored form the next batch.
 //   - A bounded score memo per kernel model (see cache.go) answers
-//     repeated inputs without scoring them again. Rows it misses go
-//     through the model's ScoreBatchInto, the package's one scoring
-//     call.
+//     repeated inputs without scoring them again, from slots found by
+//     a hash of the row's bits. Rows it misses go through the model's
+//     ScoreBatchInto, the package's one scoring call.
 //   - One HTTP front for both servers (see front.go): edaserved's
 //     Server and edarouter's cluster.Router mount the same Front, which
 //     declares the wire types (PredictRequest, PredictResponse,
@@ -150,6 +154,7 @@ type servedModel struct {
 	scorer   model.Scorer
 	batcher  *batcher
 	cache    *rowCache // nil unless an exact kernel model with CacheRows > 0
+	miss     misses    // the memo's scratch, used by the batcher goroutine only
 	compiled bool      // approx-linear payload: O(d) fast path
 }
 
@@ -194,8 +199,8 @@ func (s *Server) Load(name string, a *model.Artifact) error {
 	case *svm.SVC, *svm.OneClass, *gp.Regressor:
 		// Exact kernel models cost O(basis) per row, so a repeated row is
 		// worth remembering; the other kinds score a row for about what
-		// the memo key costs to build.
-		sm.cache = newRowCache(s.cfg.CacheRows)
+		// a memo lookup costs.
+		sm.cache = newRowCache(s.cfg.CacheRows, scorer.Dim())
 	case *model.ApproxModel:
 		sm.compiled = true
 	}
@@ -251,69 +256,54 @@ func (s *Server) model(name string) *servedModel {
 	return s.models[name]
 }
 
-// scoreBatch scores one micro-batch through the model's ScoreBatchInto.
-// Exact kernel models consult the score memo first: memoized rows are
-// answered from it, and only the rest are scored, as one smaller batch.
-// That is bit-identical to scoring the whole batch, because a row's score
-// never depends on the rows it is batched with.
+// scoreBatch scores one micro-batch into out through the model's
+// ScoreBatchInto. Exact kernel models consult the score memo first:
+// memoized rows are answered from it, and only the rest are scored, as
+// one smaller batch. That is bit-identical to scoring the whole batch,
+// because a row's score never depends on the rows it is batched with.
 // The fault.SiteKernelEval injection site sits at the front: an
 // injected error fails the batch, an injected delay stalls it under the
 // batch context, so drain and request deadlines stay enforceable.
-func (sm *servedModel) scoreBatch(ctx context.Context, x *linalg.Matrix) ([]float64, error) {
+func (sm *servedModel) scoreBatch(ctx context.Context, x *linalg.Matrix, out []float64) error {
 	if o := fault.Check(fault.SiteKernelEval); o.Err != nil || o.Delay > 0 {
 		if err := o.Wait(ctx); err != nil {
-			return nil, err
+			return err
 		}
 		if o.Err != nil {
-			return nil, o.Err
+			return o.Err
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	todo := x // the rows that need scoring
-	var (
-		out  []float64 // with a memo: the response, hits filled in first
-		miss []int     // with a memo: indices of the rows it lacks
-		keys []string  // and their memo keys
-	)
-	if sm.cache != nil {
-		out = make([]float64, x.Rows)
-		for i := range out {
-			key := rowKey(x.Row(i))
-			if v, ok := sm.cache.get(key); ok {
-				out[i] = v
-			} else {
-				miss, keys = append(miss, i), append(keys, key)
-			}
-		}
-		cacheHits.Add(int64(x.Rows - len(miss)))
-		cacheMisses.Add(int64(len(miss)))
-		if len(miss) == 0 {
-			return out, nil
-		}
-		if len(miss) < x.Rows {
-			todo = linalg.NewMatrix(len(miss), x.Cols)
-			for m, i := range miss {
-				copy(todo.Row(m), x.Row(i))
-			}
-		}
+		return err
 	}
 	if sm.compiled {
 		approxFastPath.Add(int64(x.Rows))
 	}
-	// The response slice is the only allocation on the unmemoized path:
-	// the scorer's Into path runs on pooled columnar scratch, so a
-	// steady-state batch costs O(1) allocations regardless of basis size.
-	scores := sm.scorer.ScoreBatchInto(todo, make([]float64, todo.Rows))
+	// The scorer's Into path runs on pooled columnar scratch, and the
+	// memo's on the batcher goroutine's, so a steady-state batch
+	// allocates nothing here regardless of basis size.
 	if sm.cache == nil {
-		return scores, nil
+		sm.scorer.ScoreBatchInto(x, out)
+		return nil
 	}
-	for m, i := range miss {
-		out[i] = scores[m]
-		sm.cache.put(keys[m], scores[m])
+	m := &sm.miss
+	sm.cache.lookup(x, out, m)
+	cacheHits.Add(int64(x.Rows - len(m.rows)))
+	cacheMisses.Add(int64(len(m.rows)))
+	switch len(m.rows) {
+	case 0:
+	case x.Rows:
+		sm.scorer.ScoreBatchInto(x, out)
+		sm.cache.store(x, m, out)
+	default:
+		todo, scores := m.gather(x)
+		sm.scorer.ScoreBatchInto(todo, scores)
+		for k, i := range m.rows {
+			out[i] = scores[k]
+		}
+		sm.cache.store(x, m, scores)
 	}
-	return out, nil
+	return nil
 }
 
 // Handler returns the server's HTTP mux (see Front.Handler). The
@@ -390,28 +380,28 @@ func (s *Server) handlePredict(ctx context.Context, w http.ResponseWriter, r *ht
 		}
 		body = o.CorruptBytes(body)
 	}
-	req, ok := DecodePredict(w, body)
+	in, ok := DecodePredict(w, body)
 	if !ok {
 		return
 	}
+	preds := make([]float64, in.Len())
 	var (
-		chans []<-chan batchResponse
-		err   error
+		done <-chan error
+		err  error
 	)
 	for {
 		dim := sm.scorer.Dim()
-		for i, inst := range req.Instances {
-			if len(inst) < dim {
-				Error(w, http.StatusBadRequest,
-					fmt.Sprintf("instance %d has %d features, model %q needs %d", i, len(inst), name, dim))
-				return
-			}
+		x, short := instanceMatrix(in, dim)
+		if short >= 0 {
+			Error(w, http.StatusBadRequest,
+				fmt.Sprintf("instance %d has %d features, model %q needs %d", short, len(in.Row(short)), name, dim))
+			return
 		}
-		chans, err = sm.submitAll(ctx, req.Instances)
+		done, err = sm.batcher.submit(ctx, x, preds)
 		// A hot-swap can close this entry's queue between the registry
 		// lookup and the enqueue. Unless the server itself is draining,
-		// resubmit the whole request to the entry that replaced it, so
-		// one response never mixes two models.
+		// resubmit the request to the entry that replaced it, so one
+		// response never mixes two models.
 		if !errors.Is(err, ErrDraining) || s.front.draining.Load() {
 			break
 		}
@@ -425,22 +415,17 @@ func (s *Server) handlePredict(ctx context.Context, w http.ResponseWriter, r *ht
 		s.front.Fail(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	preds := make([]float64, len(chans))
-	for i, ch := range chans {
-		var resp batchResponse
-		select {
-		case resp = <-ch:
-		case <-ctx.Done():
-			// Abandon the wait: every pending reply channel is buffered,
-			// so the batcher never blocks delivering to a gone caller.
-			s.front.Deadline(w, ctx.Err())
-			return
-		}
-		if resp.err != nil {
-			s.front.Fail(w, http.StatusInternalServerError, resp.err)
-			return
-		}
-		preds[i] = resp.value
+	select {
+	case err = <-done:
+	case <-ctx.Done():
+		// Abandon the wait: the done channel is buffered, so the batcher
+		// never blocks reporting to a gone caller.
+		s.front.Deadline(w, ctx.Err())
+		return
+	}
+	if err != nil {
+		s.front.Fail(w, http.StatusInternalServerError, err)
+		return
 	}
 	instances.Add(int64(len(preds)))
 	WriteJSON(w, http.StatusOK, PredictResponse{
@@ -448,19 +433,28 @@ func (s *Server) handlePredict(ctx context.Context, w http.ResponseWriter, r *ht
 	})
 }
 
-// submitAll enqueues every instance on the entry's batcher and returns
-// the reply channels in request order. Instances from one request batch
-// with each other and with concurrent requests.
-func (sm *servedModel) submitAll(ctx context.Context, instances [][]float64) ([]<-chan batchResponse, error) {
-	chans := make([]<-chan batchResponse, len(instances))
-	for i, inst := range instances {
-		ch, err := sm.batcher.submit(ctx, inst)
-		if err != nil {
-			return nil, err
+// instanceMatrix returns the instances as an n×dim matrix: the decoded
+// values themselves when every row is exactly dim wide, else each row's
+// first dim values, copied. short is the first row narrower than dim,
+// with a nil matrix, or -1.
+func instanceMatrix(in Instances, dim int) (x *linalg.Matrix, short int) {
+	n := in.Len()
+	exact := true
+	for i := 0; i < n; i++ {
+		width := len(in.Row(i))
+		if width < dim {
+			return nil, i
 		}
-		chans[i] = ch
+		exact = exact && width == dim
 	}
-	return chans, nil
+	if exact {
+		return &linalg.Matrix{Rows: n, Cols: dim, Data: in.values}, -1
+	}
+	x = linalg.NewMatrix(n, dim)
+	for i := 0; i < n; i++ {
+		copy(x.Row(i), in.Row(i))
+	}
+	return x, -1
 }
 
 // StartDraining flips readiness off so load balancers stop routing here;

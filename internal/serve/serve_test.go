@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -137,64 +138,73 @@ func TestBatchingDeterminism(t *testing.T) {
 }
 
 // TestMultiInstanceRequest: one request carrying the whole probe set
-// must score bit-identically too (instances batch with each other).
+// must score bit-identically too (instances batch with each other),
+// also when every other row carries one value past the model's width,
+// which is ignored.
 func TestMultiInstanceRequest(t *testing.T) {
 	s := newTestServer(t, Config{MaxBatch: 8})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	for _, tr := range zoo(t) {
-		instances := make([][]float64, tr.Probes.Rows)
-		for i := range instances {
-			instances[i] = tr.Probes.Row(i)
-		}
-		status, pr := postPredict(t, ts.URL, string(tr.Kind), instances)
-		if status != http.StatusOK {
-			t.Fatalf("%s: status %d", tr.Kind, status)
-		}
-		if pr.Kind != string(tr.Kind) {
-			t.Fatalf("kind = %q, want %q", pr.Kind, tr.Kind)
-		}
-		for i, got := range pr.Predictions {
-			if got != tr.Want[i] {
-				t.Fatalf("%s probe %d: %v != %v", tr.Kind, i, got, tr.Want[i])
+		for _, ragged := range []bool{false, true} {
+			instances := make([][]float64, tr.Probes.Rows)
+			for i := range instances {
+				instances[i] = tr.Probes.Row(i)
+				if ragged && i%2 == 0 {
+					instances[i] = append(slices.Clip(instances[i]), 1e6)
+				}
+			}
+			status, pr := postPredict(t, ts.URL, string(tr.Kind), instances)
+			if status != http.StatusOK {
+				t.Fatalf("%s: status %d", tr.Kind, status)
+			}
+			if pr.Kind != string(tr.Kind) {
+				t.Fatalf("kind = %q, want %q", pr.Kind, tr.Kind)
+			}
+			for i, got := range pr.Predictions {
+				if got != tr.Want[i] {
+					t.Fatalf("%s probe %d (ragged %v): %v != %v", tr.Kind, i, ragged, got, tr.Want[i])
+				}
 			}
 		}
 	}
 }
 
 // TestRowCacheLRU unit-tests the score memo: hits, misses,
-// least-recently-used eviction, and the bit-exact key.
+// least-recently-used eviction, and the bit-exact match.
 func TestRowCacheLRU(t *testing.T) {
-	c := newRowCache(2)
-	k1, k2, k3 := rowKey([]float64{1}), rowKey([]float64{2}), rowKey([]float64{3})
-	c.put(k1, 10)
-	c.put(k2, 20)
-	if v, ok := c.get(k1); !ok || v != 10 {
-		t.Fatalf("k1 = %v, %v; want 10, true", v, ok)
+	c := newRowCache(2, 1)
+	memoPut(c, 10, 1)
+	memoPut(c, 20, 2)
+	if v, ok := memoGet(c, 1); !ok || v != 10 {
+		t.Fatalf("{1} = %v, %v; want 10, true", v, ok)
 	}
-	c.put(k3, 30) // evicts k2: k1 was touched more recently
-	if _, ok := c.get(k2); ok {
-		t.Fatal("k2 should have been evicted (LRU)")
+	memoPut(c, 30, 3) // evicts {2}: {1} was touched more recently
+	if _, ok := memoGet(c, 2); ok {
+		t.Fatal("{2} should have been evicted (LRU)")
 	}
-	c.put(k1, 11) // overwrite refreshes the score in place
-	if v, ok := c.get(k1); !ok || v != 11 {
-		t.Fatalf("k1 = %v, %v; want 11, true", v, ok)
+	memoPut(c, 11, 1) // overwrite refreshes the score in place
+	if v, ok := memoGet(c, 1); !ok || v != 11 {
+		t.Fatalf("{1} = %v, %v; want 11, true", v, ok)
 	}
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
-	if rowKey([]float64{1, 2}) == rowKey([]float64{2, 1}) {
-		t.Fatal("rowKey must distinguish element order")
+	wide := newRowCache(4, 2)
+	memoPut(wide, 12, 1, 2)
+	if _, ok := memoGet(wide, 2, 1); ok {
+		t.Fatal("the memo must distinguish element order")
 	}
-	// +0 and -0 are distinct bit patterns — the key is bit-exact by design.
-	if rowKey([]float64{0.0}) == rowKey([]float64{math.Copysign(0, -1)}) {
-		t.Fatal("rowKey must be bit-exact, not value-based")
+	// +0 and -0 are distinct bit patterns — the match is bit-exact by design.
+	memoPut(c, 40, 0.0)
+	if _, ok := memoGet(c, math.Copysign(0, -1)); ok {
+		t.Fatal("the memo must be bit-exact, not value-based")
 	}
 	var nilCache *rowCache
-	if _, ok := nilCache.get(k1); ok {
+	if _, ok := memoGet(nilCache, 1); ok {
 		t.Fatal("nil cache must miss")
 	}
-	nilCache.put(k1, 1) // must not panic
+	memoPut(nilCache, 1, 1) // must not panic
 }
 
 // TestCacheDoesNotChangePredictions scores the same probes twice: the
@@ -217,15 +227,15 @@ func TestCacheDoesNotChangePredictions(t *testing.T) {
 		if sm.cache == nil {
 			t.Fatal("kernel model should have a score memo")
 		}
-		first, err := sm.scoreBatch(context.Background(), tr.Probes)
-		if err != nil {
+		first := make([]float64, tr.Probes.Rows)
+		if err := sm.scoreBatch(context.Background(), tr.Probes, first); err != nil {
 			t.Fatal(err)
 		}
 		if sm.cache.len() == 0 {
 			t.Fatal("cache stayed empty after scoring")
 		}
-		second, err := sm.scoreBatch(context.Background(), tr.Probes) // all hits
-		if err != nil {
+		second := make([]float64, tr.Probes.Rows)
+		if err := sm.scoreBatch(context.Background(), tr.Probes, second); err != nil { // all hits
 			t.Fatal(err)
 		}
 		for i := range first {
@@ -425,19 +435,19 @@ func TestPredictValidation(t *testing.T) {
 // TestBatcherDrain: every request accepted before close is answered;
 // requests after close get ErrDraining.
 func TestBatcherDrain(t *testing.T) {
-	score := func(_ context.Context, x *linalg.Matrix) ([]float64, error) {
+	score := func(_ context.Context, x *linalg.Matrix, out []float64) error {
 		time.Sleep(time.Millisecond) // let requests pile up behind a batch
-		out := make([]float64, x.Rows)
 		for i := range out {
 			out[i] = x.Row(i)[0] * 2
 		}
-		return out, nil
+		return nil
 	}
 	b := newBatcher(score, 1, 4)
 	const n = 32
-	chans := make([]<-chan batchResponse, n)
+	chans := make([]<-chan error, n)
+	values := make([]float64, n)
 	for i := 0; i < n; i++ {
-		ch, err := b.submit(context.Background(), []float64{float64(i)})
+		ch, err := b.submit(context.Background(), column(float64(i)), values[i:i+1])
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -445,15 +455,14 @@ func TestBatcherDrain(t *testing.T) {
 	}
 	b.close()
 	for i, ch := range chans {
-		resp := <-ch
-		if resp.err != nil {
-			t.Fatalf("request %d accepted before close got error: %v", i, resp.err)
+		if err := <-ch; err != nil {
+			t.Fatalf("request %d accepted before close got error: %v", i, err)
 		}
-		if resp.value != float64(i)*2 {
-			t.Fatalf("request %d: %v, want %v", i, resp.value, float64(i)*2)
+		if values[i] != float64(i)*2 {
+			t.Fatalf("request %d: %v, want %v", i, values[i], float64(i)*2)
 		}
 	}
-	if _, err := b.submit(context.Background(), []float64{1}); err != ErrDraining {
+	if _, err := b.submit(context.Background(), column(1), make([]float64, 1)); err != ErrDraining {
 		t.Fatalf("submit after close: %v, want ErrDraining", err)
 	}
 	b.close() // idempotent
@@ -465,29 +474,66 @@ func TestBatcherDrain(t *testing.T) {
 func TestBatcherPanicRecovery(t *testing.T) {
 	for _, v := range []any{"boom", 42} {
 		calls := 0
-		score := func(_ context.Context, x *linalg.Matrix) ([]float64, error) {
+		score := func(context.Context, *linalg.Matrix, []float64) error {
 			calls++
 			if calls == 1 {
 				panic(v)
 			}
-			return make([]float64, x.Rows), nil
+			return nil
 		}
 		b := newBatcher(score, 1, 1)
-		ch, err := b.submit(context.Background(), []float64{1})
+		ch, err := b.submit(context.Background(), column(1), make([]float64, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp := <-ch; resp.err == nil || !strings.Contains(resp.err.Error(), fmt.Sprint(v)) {
-			t.Fatalf("panic(%#v) surfaced as error %v", v, resp.err)
+		if err := <-ch; err == nil || !strings.Contains(err.Error(), fmt.Sprint(v)) {
+			t.Fatalf("panic(%#v) surfaced as error %v", v, err)
 		}
-		ch, err = b.submit(context.Background(), []float64{2})
+		ch, err = b.submit(context.Background(), column(2), make([]float64, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resp := <-ch; resp.err != nil {
-			t.Fatalf("batcher died after panic(%#v): %v", v, resp.err)
+		if err := <-ch; err != nil {
+			t.Fatalf("batcher died after panic(%#v): %v", v, err)
 		}
 		b.close()
+	}
+}
+
+// TestSplitRequestFailsOnce: a request split over several batches gets
+// the error of the first batch that fails, once, and the rest of its
+// rows are never scored; the batcher goes on serving.
+func TestSplitRequestFailsOnce(t *testing.T) {
+	var rows []int // written only by the batcher goroutine
+	score := func(_ context.Context, x *linalg.Matrix, out []float64) error {
+		rows = append(rows, x.Rows)
+		if len(rows) == 1 {
+			return errors.New("boom")
+		}
+		for i := range out {
+			out[i] = x.Row(i)[0]
+		}
+		return nil
+	}
+	b := newBatcher(score, 1, 4)
+	ch, err := b.submit(context.Background(), column(0, 1, 2, 3, 4, 5, 6, 7, 8, 9), make([]float64, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-ch; err == nil || err.Error() != "boom" {
+		t.Fatalf("split request got %v, want the first batch's error", err)
+	}
+	values := make([]float64, 2)
+	ch, err = b.submit(context.Background(), column(7, 8), values)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-ch; err != nil || values[0] != 7 || values[1] != 8 {
+		t.Fatalf("next request: %v, error %v", values, err)
+	}
+	b.close() // orders the batcher's writes to rows before the read
+	if want := []int{4, 2}; !slices.Equal(rows, want) {
+		t.Fatalf("scoring calls took %v rows, want %v", rows, want)
 	}
 }
 
@@ -512,23 +558,23 @@ func TestIdleRequestNotHeld(t *testing.T) {
 func TestNextBatchFormsWhileScoring(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	var sizes []int // written only by the batcher goroutine
-	score := func(_ context.Context, x *linalg.Matrix) ([]float64, error) {
+	score := func(_ context.Context, x *linalg.Matrix, out []float64) error {
 		sizes = append(sizes, x.Rows)
 		if len(sizes) == 1 {
 			close(entered)
 			<-release
 		}
-		out := make([]float64, x.Rows)
 		for i := range out {
 			out[i] = 2*x.Row(i)[0] + 1
 		}
-		return out, nil
+		return nil
 	}
 	b := newBatcher(score, 1, 16)
 	// Row 0 starts the blocked first batch; rows 1..20 queue behind it.
-	chans := make([]<-chan batchResponse, 21)
+	chans := make([]<-chan error, 21)
+	values := make([]float64, len(chans))
 	for i := range chans {
-		ch, err := b.submit(context.Background(), []float64{float64(i)})
+		ch, err := b.submit(context.Background(), column(float64(i)), values[i:i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -539,12 +585,74 @@ func TestNextBatchFormsWhileScoring(t *testing.T) {
 	}
 	close(release)
 	for i, ch := range chans {
-		if resp := <-ch; resp.err != nil || resp.value != 2*float64(i)+1 {
-			t.Fatalf("row %d: %+v, want value %v", i, resp, 2*float64(i)+1)
+		if err := <-ch; err != nil || values[i] != 2*float64(i)+1 {
+			t.Fatalf("row %d: value %v, error %v; want value %v", i, values[i], err, 2*float64(i)+1)
 		}
 	}
 	b.close() // orders the batcher's writes to sizes before the read
 	if want := []int{1, 16, 4}; !slices.Equal(sizes, want) {
 		t.Fatalf("batch sizes %v, want %v", sizes, want)
+	}
+}
+
+// column returns the one-column matrix of vs.
+func column(vs ...float64) *linalg.Matrix {
+	return &linalg.Matrix{Rows: len(vs), Cols: 1, Data: vs}
+}
+
+// TestRequestsSplitAcrossBatches: requests of 1 to 64 rows, sent from
+// several goroutines at once, are split over consecutive batches and
+// share batches with each other, through every model kind's scoring
+// path and the kernel models' memo (small enough to evict). Every
+// answer must match ScoreRow bit for bit, and no scoring call may take
+// more than MaxBatch rows. scripts/check.sh runs it under -race at 1, 2
+// and 8 workers.
+func TestRequestsSplitAcrossBatches(t *testing.T) {
+	const maxBatch = 16
+	s := newTestServer(t, Config{MaxBatch: maxBatch, CacheRows: 24})
+	for _, tr := range zoo(t) {
+		sm := s.model(string(tr.Kind))
+		dim := sm.scorer.Dim()
+		widest := 0 // written by the batcher goroutine only
+		b := newBatcher(func(ctx context.Context, x *linalg.Matrix, out []float64) error {
+			widest = max(widest, x.Rows)
+			return sm.scoreBatch(ctx, x, out)
+		}, dim, maxBatch)
+		var wg sync.WaitGroup
+		for g, n := range []int{1, 15, 16, 17, 37, 64} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for rep := 0; rep < 8; rep++ {
+					x := linalg.NewMatrix(n, dim)
+					for i := 0; i < n; i++ {
+						copy(x.Row(i), tr.Probes.Row((g+i)%tr.Probes.Rows))
+						if dim > 0 {
+							x.Row(i)[0] += float64((g+rep+i)%5) / 8 // repeats, but more rows than the memo holds
+						}
+					}
+					out := make([]float64, n)
+					done, err := b.submit(context.Background(), x, out)
+					if err == nil {
+						err = <-done
+					}
+					if err != nil {
+						t.Errorf("%s: %d rows: %v", tr.Kind, n, err)
+						return
+					}
+					for i := range out {
+						if want := sm.scorer.ScoreRow(x.Row(i)); math.Float64bits(out[i]) != math.Float64bits(want) {
+							t.Errorf("%s: %d rows: row %d scored %v, ScoreRow %v", tr.Kind, n, i, out[i], want)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		b.close() // orders the batcher's writes to widest before the read
+		if widest > maxBatch {
+			t.Fatalf("%s: a scoring call took %d rows, MaxBatch is %d", tr.Kind, widest, maxBatch)
+		}
 	}
 }

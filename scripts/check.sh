@@ -55,7 +55,7 @@ echo "== load-driven batching at 1/2/8 workers (race) =="
 for w in 1 2 8; do
 	echo "-- REPRO_WORKERS=$w"
 	REPRO_WORKERS="$w" "$GO" test -race -count=1 \
-		-run 'TestBatchingDeterminism|TestMultiInstanceRequest|TestIdleRequestNotHeld|TestNextBatchFormsWhileScoring' ./internal/serve/
+		-run 'TestBatchingDeterminism|TestMultiInstanceRequest|TestIdleRequestNotHeld|TestNextBatchFormsWhileScoring|TestRequestsSplitAcrossBatches' ./internal/serve/
 done
 
 # The columnar arena's aliasing property (a buffer re-leased under a

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Bounded fuzz sweep over the untrusted-input decoders: model artifact
-# decoding (internal/model.FuzzModelDecode), the predict and load
-# handlers of a single node (internal/serve.FuzzPredictHandler,
+# decoding (internal/model.FuzzModelDecode), the predict body decoder
+# against encoding/json (internal/serve.FuzzDecodePredict), the predict
+# and load handlers of a single node (internal/serve.FuzzPredictHandler,
 # FuzzLoadHandler) and of the cluster router
 # (internal/serve/cluster.FuzzRouterPredict, FuzzRouterLoad), and
 # benchmark-dataset artifact decoding
@@ -23,6 +24,7 @@ FUZZTIME="${FUZZTIME:-30s}"
 
 targets=(
 	"repro/internal/model FuzzModelDecode"
+	"repro/internal/serve FuzzDecodePredict"
 	"repro/internal/serve FuzzPredictHandler"
 	"repro/internal/serve FuzzLoadHandler"
 	"repro/internal/serve/cluster FuzzRouterPredict"
