@@ -59,12 +59,14 @@ cover:
 conformance-slow:
 	go test -tags=slowconformance -run 'TestConformance' -count=1 -v .
 
-# The full CI pipeline locally: the race-clean correctness gate, the
+# The full CI pipeline locally: the race-clean correctness gate, vet
+# for arm64 (the Go code that stands in for the amd64 assembly), the
 # nested benchmark module's vet and tests, the short benchmark sweep
 # that writes BENCH_ci.json, the serving smoke, and the bounded fuzz
 # sweep.
 ci:
 	./scripts/check.sh
+	GOARCH=arm64 go vet ./...
 	cd cmd/edabench && go vet ./... && go test ./...
 	./scripts/cover.sh
 	./scripts/bench.sh

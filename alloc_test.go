@@ -21,6 +21,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -76,26 +77,64 @@ func readAllocFloor(t *testing.T) map[string]float64 {
 	return floors
 }
 
-// measureAllocs returns steady-state allocs/op for fn.
-// testing.AllocsPerRun already performs one warm-up call before
-// counting, which primes the columnar arena. A GC mid-measurement can
-// still legitimately drain a sync.Pool and charge the refill to one
-// iteration, so a nonzero first reading gets one retry before it
-// counts as a regression.
+// measureAllocs returns steady-state allocs/op for fn. A GC
+// mid-measurement can legitimately drain a sync.Pool and charge the
+// refill to one iteration, so a nonzero first reading gets one retry
+// before it counts as a regression.
 func measureAllocs(fn func()) float64 {
-	allocs := testing.AllocsPerRun(100, fn)
+	allocs := allocsPerRun(100, fn)
 	if allocs > 0 {
-		allocs = testing.AllocsPerRun(100, fn)
+		allocs = allocsPerRun(100, fn)
 	}
 	return allocs
 }
 
+// allocsPerRun is testing.AllocsPerRun without its integer division:
+// one warm-up call, which primes the columnar arena, then the mallocs
+// of runs calls divided by runs as a fraction, so a path that
+// allocates on some calls only reads above 0 (AllocsPerRun would read
+// 0 for one that allocates on 99 of 100 calls).
+func allocsPerRun(runs int, fn func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	before := m.Mallocs
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&m)
+	return float64(m.Mallocs-before) / float64(runs)
+}
+
+// TestAllocsPerRunCountsFractions: a function that allocates on every
+// other call reads 0.5 allocs/op, not 0.
+func TestAllocsPerRunCountsFractions(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	calls := 0
+	got := allocsPerRun(100, func() {
+		calls++
+		if calls%2 == 0 {
+			allocSink = make([]byte, 64)
+		}
+	})
+	if got != 0.5 {
+		t.Fatalf("allocating on every other call read %v allocs/op, want 0.5", got)
+	}
+}
+
+var allocSink []byte
+
 // servePredict returns a path that posts the next of bodies, cycling,
 // to /predict/name through h, and counts answers that are not 200 OK
-// into *bad.
+// into *bad. It posts every body once before it returns, so the score
+// memo has seen the whole cycle and stopped growing before the path is
+// measured.
 func servePredict(h http.Handler, name string, bodies [][]byte, bad *int) func() {
 	next := 0
-	return func() {
+	fn := func() {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict/"+name, bytes.NewReader(bodies[next])))
 		if rec.Code != http.StatusOK {
@@ -103,6 +142,10 @@ func servePredict(h http.Handler, name string, bodies [][]byte, bad *int) func()
 		}
 		next = (next + 1) % len(bodies)
 	}
+	for range bodies {
+		fn()
+	}
+	return fn
 }
 
 // predictBodies encodes the rows of x as /predict bodies of per rows
@@ -256,9 +299,9 @@ func TestAllocFloor(t *testing.T) {
 		}
 		measured[p.name] = true
 		if allocs := measureAllocs(p.fn); allocs > floor {
-			t.Errorf("%s: %.1f allocs/op exceeds floor %.0f", p.name, allocs, floor)
+			t.Errorf("%s: %.2f allocs/op exceeds floor %.0f", p.name, allocs, floor)
 		} else {
-			t.Logf("%s: %.1f allocs/op (floor %.0f)", p.name, allocs, floor)
+			t.Logf("%s: %.2f allocs/op (floor %.0f)", p.name, allocs, floor)
 		}
 	}
 	if bad > 0 {

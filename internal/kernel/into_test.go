@@ -121,3 +121,30 @@ func TestIntoVariantsPanicOnShapeMismatch(t *testing.T) {
 		}()
 	}
 }
+
+// TestGramIntoMatchesEval checks every cell of GramInto, both triangles
+// and the diagonal, against k.Eval(x_i, x_j) bit for bit, at sizes
+// around gramRange's mirror tiles and at 1, 2 and 8 workers, which move
+// the tiles' edges to wherever the pool's chunks start and end.
+func TestGramIntoMatchesEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	old := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(old)
+	for _, w := range []int{1, 2, 8} {
+		parallel.SetWorkers(w)
+		for _, k := range []Kernel{RBF{Gamma: 0.2}, Linear{}} {
+			for _, n := range []int{1, 63, 64, 65, 130, 257} {
+				x := randMatrix(rng, n, 12)
+				g := nanFill(linalg.NewMatrix(n, n))
+				GramInto(k, x, g)
+				for i := 0; i < n; i++ {
+					for j := 0; j < n; j++ {
+						if got, want := g.At(i, j), k.Eval(x.Row(i), x.Row(j)); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s workers=%d n=%d: K[%d][%d] = %x, Eval %x", k.Name(), w, n, i, j, math.Float64bits(got), math.Float64bits(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}

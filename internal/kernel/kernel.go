@@ -122,9 +122,9 @@ func (HistogramIntersection) Name() string { return "histogram-intersection" }
 // EvalRows writes out[j] = k(x, row j) for the row-major rows, len(x)
 // wide, that rows holds; it panics unless len(rows) == len(out)·len(x).
 // It is the one way a kernel row is computed. RBF takes the squared
-// distances four rows at a time (linalg.Dist2Rows) and then one exp per
-// cell; every other kernel calls Eval row by row. Each value is
-// bit-identical to k.Eval(x, row j).
+// distances (linalg.Dist2Rows) and then the exps (linalg.ExpScaled),
+// four lanes at a time on AVX2 machines; every other kernel calls Eval
+// row by row. Each value is bit-identical to k.Eval(x, row j).
 func EvalRows(k Kernel, x, rows, out []float64) {
 	d := len(x)
 	if len(rows) != len(out)*d {
@@ -132,9 +132,7 @@ func EvalRows(k Kernel, x, rows, out []float64) {
 	}
 	if r, ok := k.(RBF); ok {
 		linalg.Dist2Rows(x, rows, out)
-		for j, d2 := range out {
-			out[j] = math.Exp(-r.Gamma * d2)
-		}
+		linalg.ExpScaled(out, -r.Gamma)
 		return
 	}
 	for j := range out {
@@ -205,22 +203,36 @@ func GramInto(k Kernel, x, g *linalg.Matrix) {
 	})
 }
 
+// gramTile is how many finished rows gramRange mirrors at a time.
+const gramTile = 32
+
 // gramRange fills rows [lo, hi) of the symmetric sweep: each pair
 // {i, j} is evaluated exactly once, as k(x_i, x_j), by the worker
 // owning row i = min(i, j) — one EvalRows call for row i against rows
-// i+1…n−1 — which then mirrors the row into column i.
+// i+1…n−1. Each block of gramTile finished rows is then mirrored into
+// its columns below the diagonal, a gramTile-wide tile per row j below:
+// one contiguous run of writes, read down column j of the block, whose
+// cache lines serve the next columns too. A cell-by-cell mirror writes
+// a column, one cache line per cell.
 func gramRange(k Kernel, x, g *linalg.Matrix, lo, hi int) {
 	n, d := x.Rows, x.Cols
 	evals := int64(0)
-	for i := lo; i < hi; i++ {
-		xi := x.Row(i)
-		gi := g.Row(i)
-		gi[i] = k.Eval(xi, xi)
-		EvalRows(k, xi, x.Data[(i+1)*d:n*d], gi[i+1:n])
-		for j := i + 1; j < n; j++ {
-			g.Set(j, i, gi[j])
+	for b0 := lo; b0 < hi; b0 += gramTile {
+		b1 := min(b0+gramTile, hi)
+		for i := b0; i < b1; i++ {
+			xi := x.Row(i)
+			gi := g.Row(i)
+			gi[i] = k.Eval(xi, xi)
+			EvalRows(k, xi, x.Data[(i+1)*d:n*d], gi[i+1:n])
+			evals += int64(n - i)
 		}
-		evals += int64(n - i)
+		for j := b0 + 1; j < n; j++ {
+			col := g.Data[b0*n+j:]
+			run := g.Data[j*n+b0 : j*n+min(b1, j)]
+			for t := range run {
+				run[t] = col[t*n]
+			}
+		}
 	}
 	gramCells.Add(evals)
 }

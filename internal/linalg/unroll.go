@@ -72,13 +72,19 @@ func dist2Unrolled(a, b []float64) float64 {
 // len(out)·len(x), so a width mismatch can never misalign the rows.
 // Rows go four at a time, each with its own accumulator summing in
 // index order (see the header), so every value is bit-identical to
-// Dist2; fewer than four trailing rows go through dist2Unrolled.
+// Dist2; fewer than four trailing rows go through dist2Unrolled. When
+// the AVX2 body runs (simd.go) and the width is a multiple of 4, it
+// takes the rows sixteen at a time first, with the same per-row chains.
 func Dist2Rows(x, rows, out []float64) {
 	d := len(x)
 	if len(rows) != len(out)*d {
 		panic(fmt.Sprintf("linalg: Dist2Rows has %d values for %d rows of width %d", len(rows), len(out), d))
 	}
 	j := 0
+	if useSIMD && d > 0 && d%4 == 0 {
+		j = len(out) &^ 15
+		dist2Rows16(x, rows[:j*d], out[:j])
+	}
 	for ; j+4 <= len(out); j += 4 {
 		r := rows[j*d:]
 		r0, r1, r2, r3 := r[:d], r[d:][:d], r[2*d:][:d], r[3*d:][:d]

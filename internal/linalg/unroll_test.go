@@ -172,30 +172,37 @@ func dist2RowsValue(r *rand.Rand) float64 {
 }
 
 // TestDist2RowsMatchesDist2 is Dist2Rows' oracle: every output equals
-// Dist2 against its row bit for bit, across the four-row blocks and the
-// one-to-three-row tails, at every width.
+// Dist2 against its row bit for bit, at every width 1–64, across the
+// sixteen-row blocks of the SIMD body, the four-row blocks and the
+// one-to-three-row tails (0–40 rows, and 1023–1025), with the SIMD body
+// on and off.
 func TestDist2RowsMatchesDist2(t *testing.T) {
-	r := rand.New(rand.NewSource(2026))
-	counts := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65}
-	for d := 1; d <= 17; d++ {
-		for _, n := range counts {
-			x := make([]float64, d)
-			rows := make([]float64, n*d)
-			for i := range x {
-				x[i] = dist2RowsValue(r)
-			}
-			for i := range rows {
-				rows[i] = dist2RowsValue(r)
-			}
-			out := make([]float64, n)
-			Dist2Rows(x, rows, out)
-			for j, got := range out {
-				if want := Dist2(x, rows[j*d:(j+1)*d]); !bitsEqual(got, want) {
-					t.Fatalf("d=%d n=%d row %d: got %x want %x", d, n, j, math.Float64bits(got), math.Float64bits(want))
+	counts := []int{1023, 1024, 1025}
+	for n := 0; n <= 40; n++ {
+		counts = append(counts, n)
+	}
+	simdModes(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(2026))
+		for d := 1; d <= 64; d++ {
+			for _, n := range counts {
+				x := make([]float64, d)
+				rows := make([]float64, n*d)
+				for i := range x {
+					x[i] = dist2RowsValue(r)
+				}
+				for i := range rows {
+					rows[i] = dist2RowsValue(r)
+				}
+				out := make([]float64, n)
+				Dist2Rows(x, rows, out)
+				for j, got := range out {
+					if want := Dist2(x, rows[j*d:(j+1)*d]); !bitsEqual(got, want) {
+						t.Fatalf("d=%d n=%d row %d: got %x want %x", d, n, j, math.Float64bits(got), math.Float64bits(want))
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestDist2RowsPanicsOnWidthMismatch: rows that are not a whole number

@@ -214,7 +214,7 @@ func (n *treeNodeJSON) build() *tree.Node {
 // encodePayload dispatches on the fitted model type.
 func encodePayload(m any) (kind Kind, features int, kspec *KernelSpec, payload []byte, err error) {
 	marshal := func(v any) []byte {
-		payload, err = json.Marshal(v)
+		payload, err = marshalPayload(v)
 		if err != nil {
 			err = fmt.Errorf("model: marshal payload: %w", err)
 		}

@@ -144,8 +144,9 @@ func Encode(m any, meta Meta) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	// json.Marshal writes compact JSON, so the payload needs no
-	// json.Compact before it is hashed: its hash is checksum(payload).
+	// marshalPayload writes compact JSON, as json.Marshal does, so the
+	// payload needs no json.Compact before it is hashed: its hash is
+	// checksum(payload).
 	sum := sha256Hex(payload)
 	rev, _ := obs.BuildRevision()
 	var aspec *ApproxSpec

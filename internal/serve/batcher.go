@@ -125,12 +125,22 @@ func newBatcher(score scoreFunc, dim, maxBatch int) *batcher {
 	return b
 }
 
+// donePool holds requests' done channels for reuse. The batcher sends
+// on a request's channel exactly once, so a caller that has received
+// from it may hand it back with releaseDone, and a steady stream of
+// requests allocates no channels.
+var donePool = sync.Pool{New: func() any { return make(chan error, 1) }}
+
+// releaseDone returns a done channel from submit, already received
+// from, to donePool. A caller that gave up waiting must not release it.
+func releaseDone(done chan error) { donePool.Put(done) }
+
 // submit enqueues one request, the rows of x, and returns the channel
 // that receives nil once every row's score is in out (len(out) ==
 // x.Rows), or the first error. x must be dim wide. A canceled/expired
 // ctx aborts the enqueue (and, via the batch deadline, bounds the
 // scoring the request takes part in).
-func (b *batcher) submit(ctx context.Context, x *linalg.Matrix, out []float64) (<-chan error, error) {
+func (b *batcher) submit(ctx context.Context, x *linalg.Matrix, out []float64) (chan error, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if b.closed {
@@ -139,7 +149,7 @@ func (b *batcher) submit(ctx context.Context, x *linalg.Matrix, out []float64) (
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	req := &batchRequest{ctx: ctx, x: x, out: out, enqueued: time.Now(), done: make(chan error, 1)}
+	req := &batchRequest{ctx: ctx, x: x, out: out, enqueued: time.Now(), done: donePool.Get().(chan error)}
 	// May block when the queue is full; the run loop keeps consuming
 	// until close() is signaled, and close() cannot be signaled while
 	// this RLock is held. The ctx arm keeps a full queue from holding a
@@ -148,6 +158,7 @@ func (b *batcher) submit(ctx context.Context, x *linalg.Matrix, out []float64) (
 	case b.queue <- req:
 		return req.done, nil
 	case <-ctx.Done():
+		releaseDone(req.done)
 		return nil, ctx.Err()
 	}
 }

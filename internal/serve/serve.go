@@ -386,7 +386,7 @@ func (s *Server) handlePredict(ctx context.Context, w http.ResponseWriter, r *ht
 	}
 	preds := make([]float64, in.Len())
 	var (
-		done <-chan error
+		done chan error
 		err  error
 	)
 	for {
@@ -417,6 +417,7 @@ func (s *Server) handlePredict(ctx context.Context, w http.ResponseWriter, r *ht
 	}
 	select {
 	case err = <-done:
+		releaseDone(done)
 	case <-ctx.Done():
 		// Abandon the wait: the done channel is buffered, so the batcher
 		// never blocks reporting to a gone caller.

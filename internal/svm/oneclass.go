@@ -69,14 +69,7 @@ func (m *OneClass) DecisionBatchInto(x *linalg.Matrix, out []float64) []float64 
 	}
 	g := colmat.Get(x.Rows, m.SV.Rows)
 	kernel.CrossGramInto(m.K, x, m.SV, g)
-	for i := range out {
-		s := -m.Rho
-		row := g.Row(i)
-		for j, a := range m.Alpha {
-			s += a * row[j]
-		}
-		out[i] = s
-	}
+	expandRows(g, m.Alpha, -m.Rho, out)
 	colmat.Put(g)
 	return out
 }

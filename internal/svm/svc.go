@@ -192,16 +192,40 @@ func (m *SVC) DecisionBatchInto(x *linalg.Matrix, out []float64) []float64 {
 	}
 	g := colmat.Get(x.Rows, m.SV.Rows)
 	kernel.CrossGramInto(m.K, x, m.SV, g)
-	for i := range out {
-		s := m.B
-		row := g.Row(i)
-		for j, a := range m.Alpha {
-			s += a * row[j]
-		}
-		out[i] = s
-	}
+	expandRows(g, m.Alpha, m.B, out)
 	colmat.Put(g)
 	return out
+}
+
+// expandRows writes out[i] = s + Σ_j alpha[j]·g[i][j] for every row of
+// g, a cross-Gram against the support vectors. Each row's sum runs in
+// support-vector order exactly as kernel.Expand accumulates it, so
+// every value is bit-identical to Decision; four rows go at a time,
+// each in its own chain, so the CPU overlaps their adds.
+func expandRows(g *linalg.Matrix, alpha []float64, s float64, out []float64) {
+	n := len(alpha)
+	i := 0
+	for ; i+4 <= len(out); i += 4 {
+		r := g.Data[i*n:]
+		r0, r1, r2, r3 := r[:n], r[n:][:n], r[2*n:][:n], r[3*n:][:n]
+		s0, s1, s2, s3 := s, s, s, s
+		for j, a := range alpha {
+			s0 += a * r0[j]
+			s1 += a * r1[j]
+			s2 += a * r2[j]
+			s3 += a * r3[j]
+		}
+		o := out[i : i+4]
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+	}
+	for ; i < len(out); i++ {
+		row := g.Data[i*n:][:n]
+		si := s
+		for j, a := range alpha {
+			si += a * row[j]
+		}
+		out[i] = si
+	}
 }
 
 // PredictBatchInto writes Predict for every row of x into out (length

@@ -90,18 +90,21 @@ for w in 1 2 8; do
 done
 
 # Every kernel row goes through kernel.EvalRows (for RBF, squared
-# distances four rows at a time in linalg.Dist2Rows), and every value,
-# expansion and Gram built on it must match its per-cell reference bit
-# for bit at every pool width: the width moves gramRange,
-# crossGramRange and SlidingGram's appendRange across their
-# serial/parallel cutovers, and moves where appendRange's chunks meet
-# the ring's wrap.
+# distances in linalg.Dist2Rows, then exps in linalg.ExpScaled, both
+# four lanes at a time in AVX2 assembly where the init self-check
+# passes), and every value, expansion and Gram built on it must match
+# its per-cell reference bit for bit at every pool width, with the
+# assembly on and off (and off under GODEBUG=cpu.fma=off): the width
+# moves gramRange, crossGramRange and SlidingGram's appendRange across
+# their serial/parallel cutovers, moves the Gram mirror's tiles, and
+# moves where appendRange's chunks meet the ring's wrap.
 echo "== kernel rows bit identity at 1/2/8 workers (race) =="
 for w in 1 2 8; do
 	echo "-- REPRO_WORKERS=$w"
-	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestDist2RowsMatchesDist2' ./internal/linalg/
 	REPRO_WORKERS="$w" "$GO" test -race -count=1 \
-		-run 'TestEvalRowsMatchesEval|TestGramParallelMatchesSerial|TestCrossGramParallelMatchesSerial|TestSlidingGram' ./internal/kernel/
+		-run 'TestDist2RowsMatchesDist2|TestExpScaledMatchesExp|TestExpScaledEdges|TestExpScaledLengths|TestSIMDOffWithoutFMA' ./internal/linalg/
+	REPRO_WORKERS="$w" "$GO" test -race -count=1 \
+		-run 'TestEvalRowsMatchesEval|TestGramParallelMatchesSerial|TestCrossGramParallelMatchesSerial|TestSlidingGram|TestGramIntoMatchesEval' ./internal/kernel/
 	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestExpandMatchesLoop' ./internal/svm/
 done
 
