@@ -1,32 +1,37 @@
 package repro_test
 
 // Deterministic chaos end-to-end test (ISSUE 4): the full serving stack
-// — model zoo, HTTP server with micro-batching, resilient client with
-// retries — run under an active fault plan injecting 10% errors and
-// 10% latency at the kernel-eval and request-decode sites.
+// — model zoo, HTTP server with micro-batching, typed client — run
+// under an active fault plan injecting 10% errors and 10% latency at
+// the kernel-eval and request-decode sites.
 //
 // Three claims, all asserted here:
 //
-//  1. Resilience: every predict call eventually succeeds through the
-//     client's retry machinery, and the predictions are bit-identical
-//     to in-process scoring for every model kind — chaos may delay or
-//     retry the answer, never change it.
+//  1. Resilience: every predict call eventually succeeds when the
+//     caller sends it again after an injected 500 (predictWithRetry;
+//     the client itself makes one attempt per call), and the
+//     predictions are bit-identical to in-process scoring for every
+//     model kind — chaos may delay or fail an attempt, never change an
+//     answer.
 //  2. Determinism: two complete runs with the same chaos seed produce
 //     identical observability counter snapshots — same injected
-//     errors, same retries, same batch counts, byte for byte. This is
-//     what makes a chaos failure reproducible from its seed alone.
+//     errors, same failed attempts, same batch counts, byte for byte.
+//     This is what makes a chaos failure reproducible from its seed
+//     alone.
 //  3. The seed matters: a different seed produces a different fault
 //     sequence (otherwise "seeded" would be vacuous).
 //
 // Determinism holds because the harness drives requests serially with
 // MaxBatch=1 (so each fault site's stream is consumed in a fixed call
-// order), the client's retry schedule reads no clock (its jitter is
-// seeded), and the comparison uses counters only (latency histograms
-// and gauges measure wall time, which chaos makes noisy by design).
+// order), a failed attempt is sent again at once in the same order (no
+// clock decides anything), and the comparison uses counters only
+// (latency histograms and gauges measure wall time, which chaos makes
+// noisy by design).
 
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -75,21 +80,14 @@ func runChaos(t *testing.T, trained []modelzoo.Trained, seed int64) (map[string]
 	}
 	ts := httptest.NewServer(s.Handler())
 
-	c := client.New(client.Config{
-		BaseURL:     ts.URL,
-		Seed:        seed,
-		MaxAttempts: 10,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-		RetryBudget: 10_000,
-	})
+	c := client.New(client.Config{BaseURL: ts.URL})
 
 	preds := make(map[string][]float64, len(trained))
 	ctx := context.Background()
 	for _, tr := range trained {
 		out := make([]float64, tr.Probes.Rows)
 		for i := 0; i < tr.Probes.Rows; i++ {
-			p, err := c.Predict(ctx, string(tr.Kind), [][]float64{tr.Probes.Row(i)})
+			p, err := predictWithRetry(ctx, c, string(tr.Kind), tr.Probes.Row(i))
 			if err != nil {
 				t.Fatalf("%s probe %d under chaos: %v", tr.Kind, i, err)
 			}
@@ -111,6 +109,22 @@ func runChaos(t *testing.T, trained []modelzoo.Trained, seed int64) (map[string]
 		}
 	}
 	return preds, counters
+}
+
+// predictWithRetry sends one row with TryPredict, again at once while
+// the answer is a 500, at most 10 times in all. A 500 is the only
+// status this fault plan produces (an injected decode or kernel-eval
+// error); anything else is returned as it is.
+func predictWithRetry(ctx context.Context, c *client.Client, name string, row []float64) (*serve.PredictResponse, error) {
+	var err error
+	for attempt := 0; attempt < 10; attempt++ {
+		var p *serve.PredictResponse
+		p, err = c.TryPredict(ctx, name, [][]float64{row}, "")
+		if client.StatusCode(err) != http.StatusInternalServerError {
+			return p, err
+		}
+	}
+	return nil, err
 }
 
 func TestChaosEndToEnd(t *testing.T) {
@@ -138,12 +152,13 @@ func TestChaosEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The plan actually bit: injected errors at both sites, retries in
-	// the client. A chaos test that injected nothing proves nothing.
+	// The plan actually bit: injected errors at both sites, failed
+	// attempts at the client. A chaos test that injected nothing proves
+	// nothing.
 	for _, name := range []string{
 		"fault.serve.kernel_eval.errors",
 		"fault.serve.predict_decode.errors",
-		"client.retries",
+		"client.failures",
 	} {
 		if counters1[name] == 0 {
 			t.Errorf("counter %s = 0 — the chaos plan did not engage", name)

@@ -121,7 +121,6 @@ func runClusterChaos(t *testing.T, trained []modelzoo.Trained, seed int64) (map[
 		Replication: 3,
 		SpreadMin:   1 << 20, // single-replica requests: keep replica-side fault draws serial
 		DownAfter:   1,
-		Seed:        seed,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -216,7 +216,7 @@ func publisher(registry *serve.Server) func(*model.Artifact) error {
 	}
 	var push *client.Client
 	if *pushURL != "" {
-		push = client.New(client.Config{BaseURL: *pushURL, Seed: *seed})
+		push = client.New(client.Config{BaseURL: *pushURL})
 	}
 	swap := 0
 	return func(a *model.Artifact) error {

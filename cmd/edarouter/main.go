@@ -111,7 +111,6 @@ func main() {
 		AttemptTimeout: *attTimeout,
 		SpreadMin:      *spreadMin,
 		DownAfter:      *downAfter,
-		Seed:           *chaosSeed,
 	}, replicas)
 	defer rt.Close()
 

@@ -13,32 +13,40 @@ import (
 	"repro/internal/linalg"
 )
 
-// TestSIMDOffWithoutFMA re-runs itself under GODEBUG=cpu.fma=off, which
-// moves math.Exp to its non-FMA branch. There the assembly body would
-// differ from math.Exp, so the init self-check must have turned it off,
-// and every RBF kernel row must still equal RBF.Eval bit for bit.
+// TestSIMDOffWithoutFMA re-runs itself under each GODEBUG setting that
+// must keep the assembly bodies off, and checks there that they are off
+// and that every RBF kernel row still equals RBF.Eval bit for bit.
+// cpu.fma=off moves math.Exp to its non-FMA branch, where the bodies
+// would differ from it, so the init self-check must turn them off;
+// cpu.avx2=off turns AVX2 off for the runtime, and the init reads the
+// setting too.
 func TestSIMDOffWithoutFMA(t *testing.T) {
-	const marker = "SIMD off under cpu.fma=off"
-	if strings.Contains(os.Getenv("GODEBUG"), "cpu.fma=off") {
-		if linalg.SIMDOn() {
-			t.Fatal("the SIMD bodies run although math.Exp takes its non-FMA branch")
+	const marker = "SIMD off under GODEBUG="
+	settings := []string{"cpu.fma=off", "cpu.avx2=off"}
+	for _, setting := range settings {
+		if strings.Contains(os.Getenv("GODEBUG"), setting) {
+			if linalg.SIMDOn() {
+				t.Fatalf("the SIMD bodies run under GODEBUG=%s", setting)
+			}
+			checkEvalRows(t)
+			t.Log(marker + setting)
+			return
 		}
-		checkEvalRows(t)
-		t.Log(marker)
-		return
 	}
 	if runtime.GOARCH != "amd64" {
-		t.Skip("cpu.fma is an amd64 GODEBUG setting")
+		t.Skip("cpu.fma and cpu.avx2 are amd64 GODEBUG settings")
 	}
-	godebug := "cpu.fma=off"
-	if prev := os.Getenv("GODEBUG"); prev != "" {
-		godebug = prev + "," + godebug
-	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestSIMDOffWithoutFMA$", "-test.count=1", "-test.v")
-	cmd.Env = append(os.Environ(), "GODEBUG="+godebug)
-	out, err := cmd.CombinedOutput()
-	if err != nil || !strings.Contains(string(out), marker) {
-		t.Fatalf("under GODEBUG=%s: %v\n%s", godebug, err, out)
+	for _, setting := range settings {
+		godebug := setting
+		if prev := os.Getenv("GODEBUG"); prev != "" {
+			godebug = prev + "," + godebug
+		}
+		cmd := exec.Command(os.Args[0], "-test.run=^TestSIMDOffWithoutFMA$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), "GODEBUG="+godebug)
+		out, err := cmd.CombinedOutput()
+		if err != nil || !strings.Contains(string(out), marker+setting) {
+			t.Fatalf("under GODEBUG=%s: %v\n%s", godebug, err, out)
+		}
 	}
 }
 

@@ -129,6 +129,27 @@ func TestExpScaledLengths(t *testing.T) {
 	})
 }
 
+// TestAVX2OffLastSettingWins: the last cpu.avx2 or cpu.all setting
+// whose value is on or off decides, as the runtime reads GODEBUG.
+func TestAVX2OffLastSettingWins(t *testing.T) {
+	for godebug, want := range map[string]bool{
+		"":                                  false,
+		"cpu.avx2=off":                      true,
+		"cpu.all=off":                       true,
+		"cpu.fma=off":                       false,
+		"gctrace=1,cpu.avx2=off,panicnil=1": true,
+		"cpu.avx2=off,cpu.avx2=on":          false,
+		"cpu.all=off,cpu.avx2=on":           false,
+		"cpu.avx2=off,cpu.all=on":           false,
+		"cpu.avx2=on,cpu.all=off":           true,
+		"cpu.avx2=off,cpu.avx2=no":          true,
+	} {
+		if got := avx2Off(godebug); got != want {
+			t.Errorf("GODEBUG=%q: avx2Off = %v, want %v", godebug, got, want)
+		}
+	}
+}
+
 func BenchmarkExpScaled(b *testing.B) {
 	r := rand.New(rand.NewSource(25))
 	src := make([]float64, 1024)

@@ -8,7 +8,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,7 +19,7 @@ import (
 )
 
 // TestTrySingleAttempt: Try hits the server exactly once, success or
-// failure, regardless of MaxAttempts.
+// failure.
 func TestTrySingleAttempt(t *testing.T) {
 	var hits atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -29,7 +28,7 @@ func TestTrySingleAttempt(t *testing.T) {
 		fmt.Fprintln(w, `{"error":"boom"}`)
 	}))
 	defer ts.Close()
-	c := New(Config{BaseURL: ts.URL, MaxAttempts: 10})
+	c := New(Config{BaseURL: ts.URL})
 	err := c.Try(context.Background(), http.MethodGet, "/readyz", nil, nil, "")
 	if err == nil {
 		t.Fatal("Try against a 500 server succeeded")
@@ -81,28 +80,28 @@ func TestTryAlwaysAttempts(t *testing.T) {
 	}
 }
 
-// TestTryPredictPriorityOverride: the per-call priority overrides the
-// configured default header for that attempt only.
+// TestTryPredictPriorityOverride: the per-call priority is sent as the
+// X-Priority header, and an empty one sends no header at all.
 func TestTryPredictPriorityOverride(t *testing.T) {
-	var lastPrio atomic.Value
+	var lastPrio atomic.Value // []string: X-Priority values of the last request
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		lastPrio.Store(r.Header.Get("X-Priority"))
+		lastPrio.Store(r.Header.Values("X-Priority"))
 		fmt.Fprintln(w, `{"model":"m","kind":"k","predictions":[1]}`)
 	}))
 	defer ts.Close()
-	c := New(Config{BaseURL: ts.URL, Priority: "low"})
+	c := New(Config{BaseURL: ts.URL})
 	ctx := context.Background()
 	if _, err := c.TryPredict(ctx, "m", [][]float64{{1}}, "high"); err != nil {
 		t.Fatal(err)
 	}
-	if got := lastPrio.Load().(string); got != "high" {
-		t.Fatalf("override: server saw %q, want high", got)
+	if got := lastPrio.Load().([]string); len(got) != 1 || got[0] != "high" {
+		t.Fatalf("tier high: server saw X-Priority %q, want [high]", got)
 	}
 	if _, err := c.TryPredict(ctx, "m", [][]float64{{1}}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if got := lastPrio.Load().(string); got != "low" {
-		t.Fatalf("default: server saw %q, want low", got)
+	if got := lastPrio.Load().([]string); len(got) != 0 {
+		t.Fatalf("empty tier: server saw X-Priority %q, want no header", got)
 	}
 }
 
@@ -149,14 +148,14 @@ func TestTryLoadAndModels(t *testing.T) {
 	}
 }
 
-// TestStatusCodeExtraction: StatusCode sees through every wrapping the
-// client applies — plain status errors, the permanent-failure wrap, and
-// returns 0 for transport-level failures where no server answered.
+// TestStatusCodeExtraction: StatusCode reads the status of every non-2xx
+// reply, 4xx and 5xx alike, and returns 0 for transport-level failures
+// where no server answered.
 func TestStatusCodeExtraction(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/teapot":
-			w.WriteHeader(http.StatusTeapot) // permanent 4xx
+			w.WriteHeader(http.StatusTeapot)
 		case "/throttle":
 			w.WriteHeader(http.StatusTooManyRequests)
 		default:
@@ -174,9 +173,6 @@ func TestStatusCodeExtraction(t *testing.T) {
 		}
 		if got := StatusCode(err); got != want {
 			t.Errorf("%s: StatusCode = %d, want %d", path, got, want)
-		}
-		if path == "/teapot" && !errors.Is(err, ErrPermanent) {
-			t.Errorf("teapot error lost ErrPermanent: %v", err)
 		}
 	}
 	ts.Close() // now every call is a refused connection

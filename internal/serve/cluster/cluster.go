@@ -42,7 +42,8 @@
 //     never silently retried into a different replica: shedding is a
 //     load decision, and rerouting shed traffic would defeat it.
 //     Failover across replicas happens only for failures where the
-//     server never answered (transport errors) or answered 5xx.
+//     server never answered (transport errors, AttemptTimeout) or
+//     answered 5xx; it is the only retry, as the clients never retry.
 //   - Blue/green rollout: PUT /models/{name} on the router, whose body
 //     is the artifact itself, passes the same front checks as on a
 //     single node (a body model.Decode refuses reaches no replica),
@@ -86,7 +87,8 @@ type Config struct {
 	// request, covering every failover attempt. Zero means the 10s
 	// default; negative disables the deadline.
 	RequestTimeout time.Duration
-	// AttemptTimeout bounds each per-replica attempt. Default 5s.
+	// AttemptTimeout bounds each per-replica attempt, reading the reply
+	// included; past it the chunk fails over. Default 5s.
 	AttemptTimeout time.Duration
 	// DownAfter is how many consecutive requests that never reached a
 	// replica, or failed probes, mark it unhealthy. Default 1: route
@@ -96,10 +98,9 @@ type Config struct {
 	// split across the model's healthy owners; smaller batches go
 	// whole to the first healthy owner in ring order. Default 8.
 	SpreadMin int
-	// Seed derives each replica client's jitter stream. The router
-	// itself never draws jitter (it fails over instead of retrying in
-	// place), but the seed keeps any future in-place retry
-	// deterministic.
+	// Deprecated: Seed is ignored, because the router draws no jitter.
+	// It stays while the benchmark, cmd/edabench, sets it and pins
+	// edarouter's -chaos-seed flag (the fault plan's seed) to it.
 	Seed int64
 }
 

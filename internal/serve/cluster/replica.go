@@ -39,13 +39,9 @@ type Replica struct {
 func newReplica(idx int, base string, cfg Config) *Replica {
 	scope := obs.Scope(fmt.Sprintf("cluster.replica.%d", idx))
 	return &Replica{
-		Index: idx,
-		Base:  base,
-		c: client.New(client.Config{
-			BaseURL: base,
-			Timeout: cfg.AttemptTimeout,
-			Seed:    cfg.Seed + int64(idx),
-		}),
+		Index:     idx,
+		Base:      base,
+		c:         client.New(client.Config{BaseURL: base, Timeout: cfg.AttemptTimeout}),
 		downAfter: cfg.DownAfter,
 		requests:  scope.Counter("requests"),
 		instances: scope.Counter("instances"),

@@ -27,11 +27,11 @@ import (
 // fakeReplica is a scripted stand-in for a serve.Server: accepting
 // every load, and answering predict with a scripted status while
 // recording what it saw. Its /readyz answers readyz (200 when zero).
-// With stalls set, a predict for the model "stall" never answers: it
-// waits for the caller to give up.
+// While stalls is set, a predict for the model "stall" never answers:
+// it waits for the caller to give up.
 type fakeReplica struct {
 	readyz   int
-	stalls   bool
+	stalls   atomic.Bool
 	status   atomic.Int64 // predict reply status; 0 or 200 serves real-looking predictions
 	hits     atomic.Int64
 	probes   atomic.Int64 // requests to /readyz
@@ -61,7 +61,7 @@ func (f *fakeReplica) handler() http.Handler {
 		f.lastPrio.Store(r.Header.Get("X-Priority"))
 		name := strings.TrimPrefix(r.URL.Path, "/predict/")
 		f.lastName.Store(name)
-		if f.stalls && name == "stall" {
+		if f.stalls.Load() && name == "stall" {
 			// The server notices the caller hang up only once the
 			// body has been read.
 			io.Copy(io.Discard, r.Body) //nolint:errcheck — test fake
@@ -106,7 +106,7 @@ func fakeCluster(t *testing.T, cfg Config, statuses ...int) (*Router, []*fakeRep
 	fakes := make([]*fakeReplica, len(statuses))
 	bases := make([]string, len(statuses))
 	for i, st := range statuses {
-		fakes[i] = &fakeReplica{stalls: true}
+		fakes[i] = &fakeReplica{}
 		fakes[i].status.Store(int64(st))
 		bases[i] = fakes[i].start(t)
 	}
@@ -293,6 +293,41 @@ func TestFailoverOn5xx(t *testing.T) {
 	}
 }
 
+// TestAttemptTimeoutFailsOver: AttemptTimeout is the one bound on a
+// single attempt. A primary that stalls a predict is given up after it,
+// the chunk fails over to the second owner long before the request
+// deadline, and the stalled replica, which never answered, leaves the
+// serving set.
+func TestAttemptTimeoutFailsOver(t *testing.T) {
+	rt, fakes := fakeCluster(t, Config{
+		Replication:    2,
+		AttemptTimeout: 50 * time.Millisecond,
+		RequestTimeout: 5 * time.Second,
+		DownAfter:      1,
+	}, http.StatusOK, http.StatusOK)
+	primary := rt.Owners("stall")[0]
+	fakes[primary].stalls.Store(true)
+	failovers := obs.GetCounter("cluster.failovers")
+	before := failovers.Value()
+
+	rec := postPredict(rt.Handler(), "stall", oneRow, "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200 from the second owner: %s", rec.Code, rec.Body.String())
+	}
+	if got := fakes[1-primary].hits.Load(); got != 1 {
+		t.Errorf("second owner saw %d requests, want 1", got)
+	}
+	if got := failovers.Value() - before; got != 1 {
+		t.Errorf("cluster.failovers rose by %d, want 1", got)
+	}
+	if rt.Replicas()[primary].Healthy() {
+		t.Errorf("the replica that stalled past AttemptTimeout is still in the serving set")
+	}
+	if !rt.Replicas()[1-primary].Healthy() {
+		t.Errorf("the replica that answered left the serving set")
+	}
+}
+
 // TestReadyzProbesNothing: the router's /readyz reports the health
 // already recorded and sends nothing over the network, not even to a
 // replica that is out of service.
@@ -377,7 +412,8 @@ func TestPermanent4xxPropagates(t *testing.T) {
 // TestPredictValidation: malformed requests die at the router, and a
 // replica that stalls past the request deadline becomes a counted 504.
 func TestPredictValidation(t *testing.T) {
-	rt, _ := fakeCluster(t, Config{Replication: 1, RequestTimeout: 50 * time.Millisecond}, http.StatusOK)
+	rt, fakes := fakeCluster(t, Config{Replication: 1, RequestTimeout: 50 * time.Millisecond}, http.StatusOK)
+	fakes[0].stalls.Store(true)
 	h := rt.Handler()
 	deadlines := obs.GetCounter("cluster.deadline_exceeded")
 	for _, tc := range []struct {

@@ -270,9 +270,7 @@ func handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		Error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(append(data, '\n')) //nolint:errcheck — nothing to do on a failed reply write
+	writeReply(w, http.StatusOK, data)
 }
 
 // WriteJSON marshals before committing the status line: a value JSON
@@ -285,9 +283,17 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 		data, _ = json.Marshal(ErrorBody{Error: "encode response: " + err.Error()})
 		status = http.StatusInternalServerError
 	}
+	writeReply(w, status, data)
+}
+
+// writeReply sends data and a newline as two writes, which net/http
+// buffers into one response; appending the newline would copy data
+// whenever it exactly fills its allocation.
+func writeReply(w http.ResponseWriter, status int, data []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(data, '\n')) //nolint:errcheck — nothing to do on a failed reply write
+	w.Write(data)           //nolint:errcheck — nothing to do on a failed reply write
+	io.WriteString(w, "\n") //nolint:errcheck — nothing to do on a failed reply write
 }
 
 // Error answers status with an ErrorBody carrying msg.

@@ -32,10 +32,13 @@ echo "== go test -race =="
 # repo (router fan-out goroutines, per-replica health, node kill);
 # its determinism contract must hold at every worker-pool width, so
 # sweep the widths that shift scoring onto different parallel paths.
-echo "== cluster chaos storm at 1/2/8 workers (race) =="
+# The single-node chaos test sweeps them too: the client makes one
+# attempt per call, so its same-seed claim rests on the test's own
+# retry order.
+echo "== chaos end to end and cluster chaos storm at 1/2/8 workers (race) =="
 for w in 1 2 8; do
 	echo "-- REPRO_WORKERS=$w"
-	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestClusterChaosStorm' .
+	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestChaosEndToEnd|TestClusterChaosStorm' .
 done
 
 # A hot-swap must never answer 503 or mix two models in one response,
