@@ -73,9 +73,11 @@ func TestExpScaledMatchesExp(t *testing.T) {
 // expEdges are the arguments where math.Exp leaves its normal-result
 // path or rounds at a boundary: ±0, the smallest normal result
 // (−708.39…), the last subnormal one (−745.13…), subnormal results,
-// overflow (709.78…), NaN, ±Inf, and values below −2³¹/log2e, whose
-// exponent does not fit in 32 bits.
-var expEdges = []float64{
+// the k at which its underflow branch starts and ends (k = −1023 near
+// −709.09, k = −1074 near −744.44, k = −1075 near −745.13, and the
+// half-way points between k's), overflow (709.78…), NaN, ±Inf, and
+// values below −2³¹/log2e, whose exponent does not fit in 32 bits.
+var expEdges = append([]float64{
 	0, math.Copysign(0, -1),
 	-708.3964185322641, math.Nextafter(-708.3964185322641, 0), math.Nextafter(-708.3964185322641, -1000),
 	-708.75, -709.08956571282405, -709.1, -709.43, -709.44,
@@ -85,6 +87,19 @@ var expEdges = []float64{
 	-math.Exp2(31) / math.Log2E, -1.0000001 * math.Exp2(31) / math.Log2E, -1e10, -1e300,
 	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
 	1e-300, -1e-300, 1, -1,
+}, withNeighbours(
+	-708.40, -709.09, -744.44, -745.13, -745.1332191019412,
+	-1022.5*math.Ln2, -1023.5*math.Ln2, -1074.5*math.Ln2, -1075.5*math.Ln2, -1076.5*math.Ln2,
+)...)
+
+// withNeighbours returns each value with the floats just above and below
+// it.
+func withNeighbours(vs ...float64) []float64 {
+	var out []float64
+	for _, v := range vs {
+		out = append(out, math.Nextafter(v, math.Inf(-1)), v, math.Nextafter(v, math.Inf(1)))
+	}
+	return out
 }
 
 // TestExpScaledEdges puts every edge argument in every lane of a group
@@ -129,6 +144,176 @@ func TestExpScaledLengths(t *testing.T) {
 	})
 }
 
+// TestExpScaledUnderflowInLanes pins which groups the assembly writes
+// itself: every group whose arguments lie in [−745.2, −708.4] (math.Exp's
+// underflow branch, subnormal and zero results), lie below −746, or are
+// −Inf, mixed with in-range arguments, so that none of them falls back
+// to math.Exp. It still stops before a group holding NaN, +Inf, or an
+// argument whose k is 1024 or that overflows.
+func TestExpScaledUnderflowInLanes(t *testing.T) {
+	if !useSIMD {
+		t.Skip("the SIMD bodies are off on this machine")
+	}
+	r := rand.New(rand.NewSource(27))
+	under := []func() float64{
+		func() float64 { return -745.2 + (745.2-708.4)*r.Float64() },
+		func() float64 { return -746 - math.Exp(40*r.Float64()) },
+		func() float64 { return math.Inf(-1) },
+	}
+	const c = -0.5
+	v := make([]float64, 4*256)
+	for j := range v {
+		if r.Intn(3) == 0 {
+			v[j] = -700 + 1400*r.Float64()
+		} else {
+			v[j] = under[r.Intn(len(under))]()
+		}
+	}
+	for g := 0; g < len(v); g += 4 {
+		v[g+r.Intn(4)] = under[r.Intn(len(under))]() // every group underflows
+	}
+	want := make([]float64, len(v))
+	for j := range v {
+		want[j] = math.Exp(v[j])
+		v[j] /= c
+	}
+	if n := expScaled4(v, c); n != len(v) {
+		t.Fatalf("expScaled4 wrote %d of %d values, all of them underflow or in range", n, len(v))
+	}
+	for j := range v {
+		if !bitsEqual(v[j], want[j]) {
+			t.Fatalf("value %d: %x, math.Exp %x", j, math.Float64bits(v[j]), math.Float64bits(want[j]))
+		}
+	}
+
+	// k = 1024 from 709.44 up; 709.6 is still below the overflow
+	// threshold, which math.Exp handles apart.
+	for _, stop := range []float64{math.NaN(), math.Inf(1), 709.44, 709.6, 709.79, 1e10} {
+		for lane := 0; lane < 4; lane++ {
+			v := make([]float64, 12)
+			for j := range v {
+				v[j] = under[r.Intn(len(under))]() / c
+			}
+			v[4+lane] = stop / c
+			in := append([]float64(nil), v...)
+			if n := expScaled4(v, c); n != 4 {
+				t.Fatalf("%v in lane %d: expScaled4 wrote %d values, want the 4 before its group", stop, lane, n)
+			}
+			for j := 4; j < len(v); j++ {
+				if !bitsEqual(v[j], in[j]) {
+					t.Fatalf("%v in lane %d: value %d changed after the stop", stop, lane, j)
+				}
+			}
+		}
+	}
+}
+
+// TestAXPY4MatchesAXPY: AXPY4 equals four AXPY calls in turn, bit for
+// bit, at every length 0–19 (every count of whole groups and every
+// tail) and at 1024, with zeros of both signs among the values.
+func TestAXPY4MatchesAXPY(t *testing.T) {
+	simdModes(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(28))
+		value := func() float64 {
+			switch r.Intn(8) {
+			case 0:
+				return 0
+			case 1:
+				return math.Copysign(0, -1)
+			}
+			return r.NormFloat64() * math.Exp(8*r.NormFloat64())
+		}
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 1024} {
+			for trial := 0; trial < 20; trial++ {
+				var a [4]float64
+				var x [4][]float64
+				for q := range x {
+					a[q] = value()
+					x[q] = make([]float64, n)
+					for i := range x[q] {
+						x[q][i] = value()
+					}
+				}
+				y := make([]float64, n)
+				for i := range y {
+					y[i] = value()
+				}
+				want := append([]float64(nil), y...)
+				for q := range x {
+					AXPY(a[q], x[q], want)
+				}
+				AXPY4(a, x, y)
+				for i := range y {
+					if !bitsEqual(y[i], want[i]) {
+						t.Fatalf("n=%d value %d: AXPY4 %x, four AXPYs %x", n, i, math.Float64bits(y[i]), math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
+	})
+}
+
+// refStepScan is StepScan as two passes, the update and then a scan
+// for the first minimum and maximum.
+func refStepScan(y []float64, t float64, u, w, a []float64, below, above float64) Extremes {
+	for r := range y {
+		y[r] += t * (u[r] - w[r])
+	}
+	e := Extremes{IMin: -1, IMax: -1, Min: math.Inf(1), Max: math.Inf(-1)}
+	for r, v := range y {
+		if a[r] < below && v < e.Min {
+			e.IMin, e.Min = r, v
+		}
+		if a[r] > above && v > e.Max {
+			e.IMax, e.Max = r, v
+		}
+	}
+	return e
+}
+
+// TestStepScanMatchesTwoPasses: StepScan's update and selection equal
+// refStepScan's at every length 0–19 and at 63–65 and 1024. The values
+// come from a set of six, so ties are frequent, both within a lane and
+// across lanes and the tail; a sits at, just inside and just outside
+// both limits; and NaN and ±Inf appear among the values.
+func TestStepScanMatchesTwoPasses(t *testing.T) {
+	simdModes(t, func(t *testing.T) {
+		r := rand.New(rand.NewSource(29))
+		const below, above = 0.75, 1e-12
+		values := []float64{-1, 0.5, 2, math.Inf(1), math.Inf(-1), math.NaN()}
+		limits := []float64{0, above, math.Nextafter(above, 1), below, math.Nextafter(below, 0), 0.3, 1}
+		lengths := []int{63, 64, 65, 1024}
+		for n := 0; n <= 19; n++ {
+			lengths = append(lengths, n)
+		}
+		for _, n := range lengths {
+			for trial := 0; trial < 50; trial++ {
+				y, u, w, a := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+				for i := range y {
+					y[i] = values[r.Intn(3)]
+					if r.Intn(20) == 0 {
+						y[i] = values[r.Intn(len(values))]
+					}
+					u[i], w[i] = float64(r.Intn(3)), float64(r.Intn(3))
+					a[i] = limits[r.Intn(len(limits))]
+				}
+				step := []float64{0, 0.25, -3}[trial%3]
+				want := append([]float64(nil), y...)
+				we := refStepScan(want, step, u, w, a, below, above)
+				got := StepScan(y, step, u, w, a, below, above)
+				for i := range y {
+					if !bitsEqual(y[i], want[i]) {
+						t.Fatalf("n=%d t=%v value %d: %v, reference %v", n, step, i, y[i], want[i])
+					}
+				}
+				if got != we {
+					t.Fatalf("n=%d t=%v: StepScan %+v, reference %+v", n, step, got, we)
+				}
+			}
+		}
+	})
+}
+
 // TestAVX2OffLastSettingWins: the last cpu.avx2 or cpu.all setting
 // whose value is on or off decides, as the runtime reads GODEBUG.
 func TestAVX2OffLastSettingWins(t *testing.T) {
@@ -150,16 +335,62 @@ func TestAVX2OffLastSettingWins(t *testing.T) {
 	}
 }
 
+// BenchmarkExpScaled times 1024 exps of an RBF row at c = −1/12. In
+// "in-range" every result is normal; in "underflow" every argument lies
+// in [−800, −709], so every result is subnormal or zero; "cross-shift"
+// mixes the two in runs of 1–8 values, 60% of them underflowing, as the
+// kernel rows between two regimes of a shifted stream do. Each case
+// reports the share of four-lane groups that hold an underflowing lane.
 func BenchmarkExpScaled(b *testing.B) {
 	r := rand.New(rand.NewSource(25))
-	src := make([]float64, 1024)
-	for j := range src {
-		src[j] = 40 * r.Float64()
+	normal := func() float64 { return 40 * r.Float64() }
+	under := func() float64 { return 12 * (709 + 91*r.Float64()) }
+	cases := []struct {
+		name string
+		fill func(src []float64)
+	}{
+		{"in-range", func(src []float64) {
+			for j := range src {
+				src[j] = normal()
+			}
+		}},
+		{"underflow", func(src []float64) {
+			for j := range src {
+				src[j] = under()
+			}
+		}},
+		{"cross-shift", func(src []float64) {
+			for j := 0; j < len(src); {
+				draw := normal
+				if r.Float64() < 0.6 {
+					draw = under
+				}
+				for end := min(len(src), j+1+r.Intn(8)); j < end; j++ {
+					src[j] = draw()
+				}
+			}
+		}},
 	}
-	v := make([]float64, len(src))
-	b.SetBytes(int64(8 * len(v)))
-	for i := 0; i < b.N; i++ {
-		copy(v, src)
-		ExpScaled(v, -1.0/12)
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			src := make([]float64, 1024)
+			tc.fill(src)
+			groups := 0
+			for g := 0; g < len(src); g += 4 {
+				for _, x := range src[g : g+4] {
+					if x/12 > 708.39 {
+						groups++
+						break
+					}
+				}
+			}
+			v := make([]float64, len(src))
+			b.SetBytes(int64(8 * len(v)))
+			for i := 0; i < b.N; i++ {
+				copy(v, src)
+				ExpScaled(v, -1.0/12)
+			}
+			b.ReportMetric(float64(groups)/float64(len(src)/4), "underflow-groups")
+		})
 	}
 }

@@ -24,9 +24,13 @@ import (
 // the same index for every j. Callers serve column j from row j, which
 // requires K to be exactly symmetric: kernel.Gram and
 // kernel.SlidingGram write both halves of a cell from one Eval, and
-// FitOneClassGram stores its input transposed. A pair update thus
-// streams two contiguous columns, and every g_i receives the same
-// operations in the same order as an element-wise loop.
+// FitOneClassGram stores its input transposed. The gradient is then
+// built from contiguous columns, four nonzero ones per pass
+// (linalg.AXPY4), and each pair update streams its two columns in the
+// same pass that selects the next pair (linalg.StepScan). Every g_i
+// receives the same operations in the same order as an element-wise
+// loop, and each selection is the same first minimum and first maximum
+// as a separate scan.
 
 // SolveInfo reports how a one-class dual solve went. The streaming
 // trainer uses it to carry dual weights across window refreshes and to
@@ -145,32 +149,44 @@ func WarmStartAlpha(prev []float64, n int, nu float64) []float64 {
 func solveOneClass(n int, col func(j int) (lo, hi []float64), cfg OneClassConfig, alpha []float64) (g []float64, iters int, gap float64) {
 	upper := 1.0 / (cfg.Nu * float64(n))
 
-	// Gradient g = Σ_j α_j K(·, j), one AXPY per nonzero α_j in
-	// ascending j: each g_i accumulates its terms in index order, from
-	// zero, exactly as a per-row sum would.
+	// Gradient g = Σ_j α_j K(·, j) over the nonzero α_j in ascending j,
+	// four columns per pass (linalg.AXPY4) and the one to three left
+	// over one AXPY each: each g_i accumulates its terms in index order,
+	// from zero, exactly as a per-row sum would.
 	g = make([]float64, n)
-	for j, a := range alpha {
-		if a != 0 {
-			lo, hi := col(j)
-			linalg.AXPY(a, lo, g[:len(lo)])
-			linalg.AXPY(a, hi, g[len(lo):])
+	var a [4]float64
+	var lo, hi [4][]float64
+	m := 0
+	for j, aj := range alpha {
+		if aj == 0 {
+			continue
+		}
+		a[m] = aj
+		lo[m], hi[m] = col(j)
+		if m++; m == 4 {
+			split := len(lo[0])
+			linalg.AXPY4(a, lo, g[:split])
+			linalg.AXPY4(a, hi, g[split:])
+			m = 0
 		}
 	}
+	for q := 0; q < m; q++ {
+		linalg.AXPY(a[q], lo[q], g[:len(lo[q])])
+		linalg.AXPY(a[q], hi[q], g[len(lo[q]):])
+	}
 
+	// Each pair step shares its pass over g with the next selection
+	// (sweep). The first selection is a sweep with t = 0 over zero
+	// columns: it adds +0 to each g_i, which changes none, since no g_i
+	// is −0 (each starts at +0, and a sum is −0 only when both terms
+	// are).
+	zero := make([]float64, n)
+	e := sweep(g, alpha, upper, 0, zero, nil, zero, nil)
 	for it := 0; it < cfg.MaxIters; it++ {
-		// Most-violating pair: minimize over i with alpha_i < upper the
-		// gradient; maximize over j with alpha_j > 0.
-		i, j := -1, -1
-		gmin, gmax := math.Inf(1), math.Inf(-1)
-		for t := 0; t < n; t++ {
-			if alpha[t] < upper-1e-12 && g[t] < gmin {
-				gmin, i = g[t], t
-			}
-			if alpha[t] > 1e-12 && g[t] > gmax {
-				gmax, j = g[t], t
-			}
-		}
-		if i < 0 || j < 0 || gmax-gmin < cfg.Tol {
+		// Most-violating pair: i minimizes the gradient over α_i <
+		// upper, j maximizes it over α_j > 0.
+		i, j := e.IMin, e.IMax
+		if i < 0 || j < 0 || e.Max-e.Min < cfg.Tol {
 			break
 		}
 		ilo, ihi := col(i)
@@ -192,11 +208,10 @@ func solveOneClass(n int, col func(j int) (lo, hi []float64), cfg OneClassConfig
 		}
 		alpha[i] += t
 		alpha[j] -= t
-		stepGradient(g[:len(ilo)], t, ilo, jlo)
-		stepGradient(g[len(ilo):], t, ihi, jhi)
+		e = sweep(g, alpha, upper, t, ilo, ihi, jlo, jhi)
 		iters = it + 1
 	}
-	return g, iters, kktGap(n, alpha, g, upper)
+	return g, iters, kktGap(e)
 }
 
 // cell returns entry r of a column split into lo and hi.
@@ -207,15 +222,17 @@ func cell(lo, hi []float64, r int) float64 {
 	return hi[r-len(lo)]
 }
 
-// stepGradient applies g[r] += t·(ki[r] − kj[r]) over one contiguous
-// stretch of two columns, which the column contract splits at the same
-// index.
-func stepGradient(g []float64, t float64, ki, kj []float64) {
-	kj = kj[:len(ki)]
-	g = g[:len(ki)]
-	for r, v := range ki {
-		g[r] += t * (v - kj[r])
-	}
+// sweep applies g_r += t·(K_ri − K_rj) for every r and selects the
+// next most-violating pair in the same pass: the first minimum of g
+// over α_r < upper and the first maximum over α_r > 0 (both up to
+// 1e-12). It runs linalg.StepScan over each contiguous stretch of the
+// column split, which is the same for K(·, i) and K(·, j), and combines
+// the stretches in index order.
+func sweep(g, alpha []float64, upper, t float64, ilo, ihi, jlo, jhi []float64) linalg.Extremes {
+	s := len(ilo)
+	below, above := upper-1e-12, 1e-12
+	e := linalg.StepScan(g[:s], t, ilo, jlo, alpha[:s], below, above)
+	return e.Join(linalg.StepScan(g[s:], t, ihi, jhi, alpha[s:], below, above), s)
 }
 
 // rowCols serves column j of m as its row j: exact when m is exactly
@@ -224,23 +241,14 @@ func rowCols(m *linalg.Matrix) func(j int) (lo, hi []float64) {
 	return func(j int) (lo, hi []float64) { return m.Row(j), nil }
 }
 
-// kktGap recomputes the most-violating-pair gap at the current point —
-// the solver's convergence certificate. Zero when no violating pair
-// exists at all.
-func kktGap(n int, alpha, g []float64, upper float64) float64 {
-	gmin, gmax := math.Inf(1), math.Inf(-1)
-	for t := 0; t < n; t++ {
-		if alpha[t] < upper-1e-12 && g[t] < gmin {
-			gmin = g[t]
-		}
-		if alpha[t] > 1e-12 && g[t] > gmax {
-			gmax = g[t]
-		}
-	}
-	if math.IsInf(gmin, 1) || math.IsInf(gmax, -1) {
+// kktGap is the most-violating-pair gap of the last selection — the
+// solver's convergence certificate. Zero when no violating pair exists
+// at all.
+func kktGap(e linalg.Extremes) float64 {
+	if e.IMin < 0 || e.IMax < 0 {
 		return 0
 	}
-	if gap := gmax - gmin; gap > 0 {
+	if gap := e.Max - e.Min; gap > 0 {
 		return gap
 	}
 	return 0

@@ -131,8 +131,9 @@ func TestFitOneClassPrecomputedWarmMatchesCold(t *testing.T) {
 
 // refSolveOneClass is the element-accessor form of solveOneClass, kept
 // as the reference the column-streaming solver must match bit for bit:
-// at(i, j) returns K_ij, the gradient is one row sum per i, and each
-// pair update reads the two columns cell by cell.
+// at(i, j) returns K_ij, the gradient is one row sum per i, each pair is
+// chosen by a scan of its own, each pair update reads the two columns
+// cell by cell, and the final gap is a scan of its own (refKKTGap).
 func refSolveOneClass(n int, at func(i, j int) float64, cfg OneClassConfig, alpha []float64) (g []float64, iters int, gap float64) {
 	upper := 1.0 / (cfg.Nu * float64(n))
 	g = make([]float64, n)
@@ -180,7 +181,28 @@ func refSolveOneClass(n int, at func(i, j int) float64, cfg OneClassConfig, alph
 		}
 		iters = it + 1
 	}
-	return g, iters, kktGap(n, alpha, g, upper)
+	return g, iters, refKKTGap(n, alpha, g, upper)
+}
+
+// refKKTGap recomputes the most-violating-pair gap at the current point
+// by a scan of its own. Zero when no violating pair exists at all.
+func refKKTGap(n int, alpha, g []float64, upper float64) float64 {
+	gmin, gmax := math.Inf(1), math.Inf(-1)
+	for t := 0; t < n; t++ {
+		if alpha[t] < upper-1e-12 && g[t] < gmin {
+			gmin = g[t]
+		}
+		if alpha[t] > 1e-12 && g[t] > gmax {
+			gmax = g[t]
+		}
+	}
+	if math.IsInf(gmin, 1) || math.IsInf(gmax, -1) {
+		return 0
+	}
+	if gap := gmax - gmin; gap > 0 {
+		return gap
+	}
+	return 0
 }
 
 // sameBits fails unless a and b hold the same float64 bit patterns.
@@ -198,9 +220,14 @@ func sameBits(t *testing.T, what string, a, b []float64) {
 
 // TestSolveOneClassMatchesReference pins the column-streaming solver to
 // the element-accessor reference: α, g, iterations and the KKT gap
-// agree bit for bit on dense Grams (cold and warm starts), on a sliding
-// window before and after its ring wraps, and through FitOneClassGram
-// on an asymmetric matrix.
+// agree bit for bit on dense Grams (cold and warm starts, and a start
+// with α exactly at 0 and at the bound), on a sliding window before and
+// after its ring wraps, on duplicated rows, and through FitOneClassGram
+// on an asymmetric matrix and on one with negative and ±0 entries. The
+// sizes put every split of four lanes and a tail in each stretch.
+// Duplicated rows have exactly equal gradients, four or five indices
+// apart, so the first-index rule decides ties across lanes, across the
+// ring split, and between the lanes and the tail.
 func TestSolveOneClassMatchesReference(t *testing.T) {
 	const dim = 4
 	k := kernel.RBF{Gamma: 0.4}
@@ -219,7 +246,52 @@ func TestSolveOneClassMatchesReference(t *testing.T) {
 			t.Fatal("solver took no steps; the case checks nothing")
 		}
 	}
-	for _, n := range []int{1, 2, 7, 64, 300} {
+	// sliding fills a window of the given capacity with the rows of
+	// stream and checks it against the reference over its Gram.
+	sliding := func(t *testing.T, n, capacity int, stream *linalg.Matrix, cfg OneClassConfig) {
+		t.Helper()
+		sg := kernel.NewSlidingGram(k, capacity, dim)
+		for i := 0; i < stream.Rows; i++ {
+			sg.Append(stream.Row(i))
+		}
+		if sg.Len() != n {
+			t.Fatalf("window holds %d rows, want %d", sg.Len(), n)
+		}
+		lo, hi := sg.Col(0)
+		if wrapped := len(hi) > 0; wrapped != (stream.Rows > capacity && n > 1) {
+			t.Fatalf("window split %d+%d does not match %d rows in %d", len(lo), len(hi), stream.Rows, capacity)
+		}
+		full := kernel.Gram(k, sg.Window())
+		check(t, n, sg.Col, full.At, cfg, coldStartAlpha(n, cfg.Nu))
+	}
+	// gramFit fits FitOneClassGram on rows and checks α and ρ against
+	// the reference, then g, iterations and gap through the solver on
+	// the same transposed copy FitOneClassGram makes.
+	gramFit := func(t *testing.T, n int, rows [][]float64, cfg OneClassConfig) {
+		t.Helper()
+		m, err := FitOneClassGram(rows, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		norm := cfg
+		norm.normalize()
+		at := func(i, j int) float64 { return rows[i][j] }
+		ref := coldStartAlpha(n, norm.Nu)
+		rg, _, _ := refSolveOneClass(n, at, norm, ref)
+		sameBits(t, "alpha", m.Alpha, ref)
+		upper := 1.0 / (norm.Nu * float64(n))
+		if rho := oneClassRho(n, ref, rg, upper); math.Float64bits(m.Rho) != math.Float64bits(rho) {
+			t.Fatalf("rho %v, reference %v", m.Rho, rho)
+		}
+		kt := linalg.NewMatrix(n, n)
+		for i, row := range rows {
+			for j, v := range row {
+				kt.Set(j, i, v)
+			}
+		}
+		check(t, n, rowCols(kt), at, cfg, coldStartAlpha(n, norm.Nu))
+	}
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 15, 16, 17, 64, 300, 1023, 1024, 1025} {
 		cfg := OneClassConfig{Nu: 0.15, MaxIters: 4 * n}
 		x := gaussianCloud(int64(n), n, dim)
 		gram := kernel.Gram(k, x)
@@ -239,6 +311,18 @@ func TestSolveOneClassMatchesReference(t *testing.T) {
 			}
 			check(t, n, rowCols(gram), gram.At, cfg, warm)
 		})
+		t.Run(fmt.Sprintf("n=%d/dense-bounds", n), func(t *testing.T) {
+			// Every third α at the bound, exactly as the solver computes
+			// it, until the mass runs out; the rest exactly 0.
+			upper := 1.0 / (cfg.Nu * float64(n))
+			alpha := make([]float64, n)
+			rest := 1.0
+			for i := 0; i < n && rest > 0; i += 3 {
+				alpha[i] = math.Min(upper, rest)
+				rest -= alpha[i]
+			}
+			check(t, n, rowCols(gram), gram.At, cfg, alpha)
+		})
 		for _, tc := range []struct {
 			name           string
 			capacity, rows int
@@ -247,20 +331,28 @@ func TestSolveOneClassMatchesReference(t *testing.T) {
 			{"sliding-wrapped", n, n + n/3 + 1},
 		} {
 			t.Run(fmt.Sprintf("n=%d/%s", n, tc.name), func(t *testing.T) {
-				stream := gaussianCloud(int64(n)+200, tc.rows, dim)
-				sg := kernel.NewSlidingGram(k, tc.capacity, dim)
-				for i := 0; i < stream.Rows; i++ {
-					sg.Append(stream.Row(i))
+				sliding(t, n, tc.capacity, gaussianCloud(int64(n)+200, tc.rows, dim), cfg)
+			})
+		}
+		if n >= 3 {
+			// Rows repeat with period 5, or 4 below 5 rows: equal rows,
+			// hence equal gradients, in different lanes, on both sides
+			// of the ring split, and in the tail.
+			period := min(5, n-1)
+			dup := func(rows int) *linalg.Matrix {
+				base := gaussianCloud(int64(n)+400, period, dim)
+				m := linalg.NewMatrix(rows, dim)
+				for i := 0; i < rows; i++ {
+					copy(m.Row(i), base.Row(i%period))
 				}
-				if sg.Len() != n {
-					t.Fatalf("window holds %d rows, want %d", sg.Len(), n)
-				}
-				lo, hi := sg.Col(0)
-				if wrapped := len(hi) > 0; wrapped != (tc.rows > tc.capacity && n > 1) {
-					t.Fatalf("window split %d+%d does not match case %s", len(lo), len(hi), tc.name)
-				}
-				full := kernel.Gram(k, sg.Window())
-				check(t, n, sg.Col, full.At, cfg, coldStartAlpha(n, cfg.Nu))
+				return m
+			}
+			t.Run(fmt.Sprintf("n=%d/dense-duplicated", n), func(t *testing.T) {
+				dg := kernel.Gram(k, dup(n))
+				check(t, n, rowCols(dg), dg.At, cfg, coldStartAlpha(n, cfg.Nu))
+			})
+			t.Run(fmt.Sprintf("n=%d/sliding-duplicated", n), func(t *testing.T) {
+				sliding(t, n, n, dup(n+n/3+1), cfg)
 			})
 		}
 		t.Run(fmt.Sprintf("n=%d/gram-asymmetric", n), func(t *testing.T) {
@@ -272,19 +364,28 @@ func TestSolveOneClassMatchesReference(t *testing.T) {
 					rows[i][j] += 0.05 * rng.Float64()
 				}
 			}
-			m, err := FitOneClassGram(rows, cfg)
-			if err != nil {
-				t.Fatal(err)
+			gramFit(t, n, rows, cfg)
+		})
+		t.Run(fmt.Sprintf("n=%d/gram-signed", n), func(t *testing.T) {
+			// Off the diagonal, a quarter of the entries +0, a quarter
+			// −0, the rest shifted down so that most are negative.
+			rng := rand.New(rand.NewSource(int64(n) + 500))
+			rows := make([][]float64, n)
+			for i := range rows {
+				rows[i] = append([]float64(nil), gram.Row(i)...)
+				for j := range rows[i] {
+					switch u := rng.Intn(4); {
+					case i == j:
+					case u == 0:
+						rows[i][j] = 0
+					case u == 1:
+						rows[i][j] = math.Copysign(0, -1)
+					default:
+						rows[i][j] -= 0.6
+					}
+				}
 			}
-			norm := cfg
-			norm.normalize()
-			ref := coldStartAlpha(n, norm.Nu)
-			rg, _, _ := refSolveOneClass(n, func(i, j int) float64 { return rows[i][j] }, norm, ref)
-			sameBits(t, "alpha", m.Alpha, ref)
-			upper := 1.0 / (norm.Nu * float64(n))
-			if rho := oneClassRho(n, ref, rg, upper); math.Float64bits(m.Rho) != math.Float64bits(rho) {
-				t.Fatalf("rho %v, reference %v", m.Rho, rho)
-			}
+			gramFit(t, n, rows, cfg)
 		})
 	}
 }

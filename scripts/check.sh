@@ -81,12 +81,16 @@ for w in 1 2 8; do
 done
 
 # The one-class solver streams Gram columns (kernel.SlidingGram.Col)
-# and must match its element-accessor reference bit for bit, and the
-# loop's trajectory must not move, at every pool width: the width moves
-# SlidingGram.Append across its serial/parallel cutover.
+# through linalg.AXPY4 (the gradient, four columns a pass) and
+# linalg.StepScan (each pair step fused with the next selection), both
+# four lanes at a time in AVX2 assembly where the init self-check
+# passes, and must match its element-accessor reference bit for bit,
+# and the loop's trajectory must not move, at every pool width: the
+# width moves SlidingGram.Append across its serial/parallel cutover.
 echo "== one-class solver bit identity at 1/2/8 workers (race) =="
 for w in 1 2 8; do
 	echo "-- REPRO_WORKERS=$w"
+	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestAXPY4MatchesAXPY|TestStepScanMatchesTwoPasses' ./internal/linalg/
 	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestSolveOneClassMatchesReference' ./internal/svm/
 	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestSlidingGram' ./internal/kernel/
 	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestLoopDeterminism|TestWarmStartMatchesColdDecision' ./internal/stream/
@@ -105,11 +109,18 @@ echo "== kernel rows bit identity at 1/2/8 workers (race) =="
 for w in 1 2 8; do
 	echo "-- REPRO_WORKERS=$w"
 	REPRO_WORKERS="$w" "$GO" test -race -count=1 \
-		-run 'TestDist2RowsMatchesDist2|TestExpScaledMatchesExp|TestExpScaledEdges|TestExpScaledLengths|TestSIMDOffWithoutFMA' ./internal/linalg/
+		-run 'TestDist2RowsMatchesDist2|TestExpScaledMatchesExp|TestExpScaledEdges|TestExpScaledLengths|TestExpScaledUnderflowInLanes|TestSIMDOffWithoutFMA' ./internal/linalg/
 	REPRO_WORKERS="$w" "$GO" test -race -count=1 \
 		-run 'TestEvalRowsMatchesEval|TestGramParallelMatchesSerial|TestCrossGramParallelMatchesSerial|TestSlidingGram|TestGramIntoMatchesEval' ./internal/kernel/
 	REPRO_WORKERS="$w" "$GO" test -race -count=1 -run 'TestExpandMatchesLoop' ./internal/svm/
 done
+
+# With AVX2 off the Go loops run in place of every assembly body, and
+# the solver, the loop's trajectory and the exps must come out the same.
+echo "== solver, loop and exp edges under GODEBUG=cpu.avx2=off (race) =="
+GODEBUG=cpu.avx2=off "$GO" test -race -count=1 -run 'TestSolveOneClassMatchesReference' ./internal/svm/
+GODEBUG=cpu.avx2=off "$GO" test -race -count=1 -run 'TestLoopDeterminism' ./internal/stream/
+GODEBUG=cpu.avx2=off "$GO" test -race -count=1 -run 'TestExpScaledEdges' ./internal/linalg/
 
 # Allocation floors run WITHOUT -race: the race detector instruments
 # allocation sites and would report counts the floors were never set
