@@ -61,15 +61,15 @@ conformance-slow:
 
 # The full CI pipeline locally: the race-clean correctness gate, vet
 # for arm64 (the Go code that stands in for the amd64 assembly), the
-# nested benchmark module's vet and tests, the short benchmark sweep
-# that writes BENCH_ci.json, the serving smoke, and the bounded fuzz
-# sweep.
+# nested benchmark module's vet and tests, the coverage gate, every
+# benchmark once at -short sizes (a build-and-panic smoke), the serving,
+# cluster, streaming and dataset smokes, and the bounded fuzz sweep.
 ci:
 	./scripts/check.sh
 	GOARCH=arm64 go vet ./...
 	cd cmd/edabench && go vet ./... && go test ./...
 	./scripts/cover.sh
-	./scripts/bench.sh
+	go test -short -run '^$$' -bench . -benchtime=1x ./...
 	./scripts/serve_smoke.sh
 	./scripts/cluster_smoke.sh
 	./scripts/stream_smoke.sh

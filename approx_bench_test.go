@@ -8,9 +8,8 @@ package repro_test
 // internal/kernel/approx collapses that to one D-dimensional feature
 // map and a dot product. These benchmarks measure both sides at the
 // scale the paper's deployment story needs (thousands of retained
-// rows), so BENCH_baseline.json records the speedup the approx-linear
-// payload exists to deliver: ≥10× for SVC and GP at RFF D=512 or
-// Nyström m=128.
+// rows), where the approx-linear payload exists to deliver a speedup of
+// ≥10× for SVC and GP at RFF D=512 or Nyström m=128.
 //
 // The models are Restore-constructed synthetics (no training in the
 // timed loop) with N(0,1) support vectors and duals — the kernel
@@ -125,8 +124,7 @@ func TestApproxTradeoffCurve(t *testing.T) {
 // BenchmarkPredictExactVsApprox is the tentpole's acceptance benchmark:
 // single-row predict throughput of the exact kernel models versus their
 // compiled approx-linear forms at RFF D=512 and Nyström m=128. Compare
-// the <kind>/exact sub-benchmark against the same kind's compiled ones;
-// scripts/bench_ratchet.sh tracks all of them across commits.
+// the <kind>/exact sub-benchmark against the same kind's compiled ones.
 func BenchmarkPredictExactVsApprox(b *testing.B) {
 	n := benchScale(256, 2048)
 	svc, g := benchModels(n)

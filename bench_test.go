@@ -7,10 +7,10 @@ package repro_test
 // cost. The printed shape checks live in the package tests; here the
 // point is a stable, runnable harness per artifact.
 //
-// Under -short (the CI benchmark-regression job, scripts/bench.sh) every
-// benchmark drops to a small fixed size: CI tracks trends and catches
-// builds/panics, so the sizes only need to exercise the real code paths,
-// not saturate them.
+// Under -short (CI's bench job runs every benchmark once that way) every
+// benchmark drops to a small fixed size: that run only catches build
+// errors and panics, so the sizes only need to exercise the real code
+// paths, not saturate them.
 
 import (
 	"testing"

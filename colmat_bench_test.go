@@ -3,9 +3,8 @@ package repro_test
 // Benchmarks for the columnar zero-alloc core (ISSUE 9): the allocating
 // numeric paths vs their destination-passing twins backed by the
 // internal/core/colmat arena. These are the entries the alloc gate
-// (alloc_test.go) floors at zero allocs/op; the benchmarks record the
-// ns/op and allocs/op win in BENCH_baseline.json so bench_ratchet.sh
-// catches both a timing and an allocation regression.
+// (alloc_test.go) floors at zero allocs/op; the benchmarks measure the
+// ns/op and allocs/op win.
 //
 // Full-size Gram is 2048x16 (the EXPERIMENTS.md headline number);
 // -short drops to 256x16 so the CI bench sweep stays cheap.

@@ -227,27 +227,18 @@ type zooJob struct {
 	maxErr  float64 // approx only
 }
 
-// kernelKind reports whether a zoo kind has a kernel expansion that
-// model.CompileApprox can collapse.
-func kernelKind(k model.Kind) bool {
-	return k == model.KindSVC || k == model.KindOneClass || k == model.KindGP
-}
-
 // approxJobs compiles every kernel kind under spec and measures the
 // worst train-set decision gap against the exact model.
 func approxJobs(models []Trained, spec model.ApproxSpec) ([]zooJob, error) {
 	var jobs []zooJob
 	for _, t := range models {
-		if !kernelKind(t.Kind) {
+		e, ok := model.ExpansionOf(t.Model)
+		if !ok {
 			continue
 		}
 		am, err := model.CompileApprox(t.Model, spec)
 		if err != nil {
 			return nil, fmt.Errorf("modelzoo: compile %s: %w", t.Kind, err)
-		}
-		maxErr, err := trainSetError(t, am)
-		if err != nil {
-			return nil, err
 		}
 		jobs = append(jobs, zooJob{
 			kind:    t.Kind,
@@ -256,7 +247,7 @@ func approxJobs(models []Trained, spec model.ApproxSpec) ([]zooJob, error) {
 			mdl:     am,
 			probes:  t.Probes,
 			want:    scoreRows(t.Probes, am.ScoreRow),
-			maxErr:  maxErr,
+			maxErr:  trainSetError(e, t.Train, am),
 		})
 	}
 	return jobs, nil
@@ -264,26 +255,15 @@ func approxJobs(models []Trained, spec model.ApproxSpec) ([]zooJob, error) {
 
 // trainSetError is the worst |approx − exact| raw-decision gap over the
 // training rows — the measured compile error the report prints.
-func trainSetError(t Trained, am *model.ApproxModel) (float64, error) {
-	var exact func([]float64) float64
-	switch m := t.Model.(type) {
-	case *svm.SVC:
-		exact = m.Decision
-	case *svm.OneClass:
-		exact = m.Decision
-	case *gp.Regressor:
-		exact = m.Predict
-	default:
-		return 0, fmt.Errorf("modelzoo: no exact decision for %T", t.Model)
-	}
+func trainSetError(e model.Expansion, train *linalg.Matrix, am *model.ApproxModel) float64 {
 	worst := 0.0
-	for i := 0; i < t.Train.Rows; i++ {
-		x := t.Train.Row(i)
-		if e := math.Abs(am.Decision(x) - exact(x)); e > worst {
-			worst = e
+	for i := 0; i < train.Rows; i++ {
+		x := train.Row(i)
+		if d := math.Abs(am.Decision(x) - e.Decision(x)); d > worst {
+			worst = d
 		}
 	}
-	return worst, nil
+	return worst
 }
 
 // Run executes the experiment (see the package comment).

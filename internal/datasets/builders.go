@@ -38,19 +38,6 @@ func Build(name string, opt Options) (*Dataset, error) {
 	return nil, fmt.Errorf("datasets: unknown dataset %q (have %v)", name, Names())
 }
 
-// BuildAll builds every dataset.
-func BuildAll(opt Options) ([]*Dataset, error) {
-	out := make([]*Dataset, 0, len(Names()))
-	for _, name := range Names() {
-		d, err := Build(name, opt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
 // splitFlags assigns 0/1 train flags to n units with a seeded shuffle.
 func splitFlags(seed int64, n int, trainFrac float64) []float64 {
 	rng := rand.New(rand.NewSource(seed))

@@ -104,55 +104,76 @@ func (m *ApproxModel) ScoreBatchInto(x *linalg.Matrix, out []float64) []float64 
 	return out
 }
 
-// CompileApprox compiles a fitted kernel model into an approx-linear
-// scorer. RFF accepts only the RBF kernel (it approximates the Gaussian
-// spectral measure); Nyström accepts any persistable kernel. The
-// returned model's Spec.Dim is the dimension actually used (Nyström
-// clamps m to the basis size).
-func CompileApprox(m any, spec ApproxSpec) (*ApproxModel, error) {
-	switch mm := m.(type) {
-	case *svm.SVC:
-		return compileExpansion(KindSVC, mm.K, mm.SV, mm.Alpha, mm.B, mm.Classes(), spec)
-	case *svm.OneClass:
-		return compileExpansion(KindOneClass, mm.K, mm.SV, mm.Alpha, -mm.Rho, [2]float64{}, spec)
-	case *gp.Regressor:
-		return compileExpansion(KindGP, mm.K, mm.X, mm.Alpha(), mm.Mean(), [2]float64{}, spec)
-	default:
-		return nil, fmt.Errorf("%w: cannot compile %T to approx-linear", ErrKind, m)
-	}
+// Expansion is an exact kernel model's raw decision written as a
+// kernel expansion, Σ_i Coef[i]·k(x, Basis row i) + Bias: the margin for
+// SVC, the novelty decision value for one-class, the posterior mean for
+// GP. It is what CompileApprox collapses, and Decision (the model's own
+// method) is what a compiled scorer's error is measured against.
+type Expansion struct {
+	Kind     Kind // KindSVC, KindOneClass or KindGP
+	Kernel   kernel.Kernel
+	Basis    *linalg.Matrix
+	Coef     []float64
+	Bias     float64
+	Classes  [2]float64 // SVC label mapping; zero otherwise
+	Decision func(x []float64) float64
 }
 
-// compileExpansion builds the feature map for the source kernel and
-// collapses the expansion Σ α_i k(·, basis_i) + bias through it.
-func compileExpansion(kind Kind, k kernel.Kernel, basis *linalg.Matrix,
-	alpha []float64, bias float64, classes [2]float64, spec ApproxSpec) (*ApproxModel, error) {
-	kspec, err := SpecOf(k)
+// ExpansionOf returns the expansion of an exact kernel model (*svm.SVC,
+// *svm.OneClass or *gp.Regressor), or false for any other model.
+func ExpansionOf(m any) (Expansion, bool) {
+	switch mm := m.(type) {
+	case *svm.SVC:
+		return Expansion{Kind: KindSVC, Kernel: mm.K, Basis: mm.SV, Coef: mm.Alpha, Bias: mm.B,
+			Classes: mm.Classes(), Decision: mm.Decision}, true
+	case *svm.OneClass:
+		return Expansion{Kind: KindOneClass, Kernel: mm.K, Basis: mm.SV, Coef: mm.Alpha, Bias: -mm.Rho,
+			Decision: mm.Decision}, true
+	case *gp.Regressor:
+		return Expansion{Kind: KindGP, Kernel: mm.K, Basis: mm.X, Coef: mm.Alpha(), Bias: mm.Mean(),
+			Decision: mm.Predict}, true
+	}
+	return Expansion{}, false
+}
+
+// CompileApprox compiles a fitted kernel model into an approx-linear
+// scorer: it builds the feature map for the source kernel and collapses
+// the expansion through it. RFF accepts only the RBF kernel (it
+// approximates the Gaussian spectral measure); Nyström accepts any
+// persistable kernel. The returned model's Spec.Dim is the dimension
+// actually used (Nyström clamps m to the basis size).
+func CompileApprox(m any, spec ApproxSpec) (*ApproxModel, error) {
+	e, ok := ExpansionOf(m)
+	if !ok {
+		return nil, fmt.Errorf("%w: cannot compile %T to approx-linear", ErrKind, m)
+	}
+	kspec, err := SpecOf(e.Kernel)
 	if err != nil {
 		return nil, err
 	}
 	var fm approx.FeatureMap
 	switch spec.Method {
 	case ApproxRFF:
-		rbf, ok := k.(kernel.RBF)
+		rbf, ok := e.Kernel.(kernel.RBF)
 		if !ok {
 			return nil, fmt.Errorf("%w: rff requires an RBF kernel, model uses %s",
-				approx.ErrKernel, k.Name())
+				approx.ErrKernel, e.Kernel.Name())
 		}
-		fm, err = approx.NewRFF(rbf.Gamma, basis.Cols, spec.Dim, spec.Seed)
+		fm, err = approx.NewRFF(rbf.Gamma, e.Basis.Cols, spec.Dim, spec.Seed)
 	case ApproxNystrom:
-		fm, err = approx.NewNystrom(k, basis, spec.Dim, spec.Seed)
+		fm, err = approx.NewNystrom(e.Kernel, e.Basis, spec.Dim, spec.Seed)
 	default:
 		return nil, fmt.Errorf("%w: unknown approx method %q", ErrInvalid, spec.Method)
 	}
 	if err != nil {
 		return nil, err
 	}
-	lin, err := approx.Compile(fm, basis, alpha, bias)
+	lin, err := approx.Compile(fm, e.Basis, e.Coef, e.Bias)
 	if err != nil {
 		return nil, err
 	}
 	spec.Dim = fm.Dim() // record the dimension actually drawn
 	return &ApproxModel{
-		SourceKind: kind, Spec: spec, Kernel: kspec, Lin: lin, Classes: classes,
+		SourceKind: e.Kind, Spec: spec, Kernel: kspec, Lin: lin, Classes: e.Classes,
 	}, nil
 }

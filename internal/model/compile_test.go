@@ -11,6 +11,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/kernel/approx"
 	"repro/internal/linalg"
+	"repro/internal/linear"
 	"repro/internal/svm"
 )
 
@@ -44,18 +45,34 @@ func compileFixtures(t *testing.T) map[Kind]any {
 	}
 }
 
-// exactDecision returns the raw expansion value the compiled score
-// approximates.
-func exactDecision(m any, x []float64) float64 {
-	switch mm := m.(type) {
-	case *svm.SVC:
-		return mm.Decision(x)
-	case *svm.OneClass:
-		return mm.Decision(x)
-	case *gp.Regressor:
-		return mm.Predict(x)
+// TestExpansionOf: each exact kernel kind reports its own kind, and its
+// expansion Σ Coef·k(x, Basis) + Bias reproduces the model's Decision;
+// every other model reports false.
+func TestExpansionOf(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	probes := testMatrix(r, 10, 4)
+	for kind, m := range compileFixtures(t) {
+		e, ok := ExpansionOf(m)
+		if !ok || e.Kind != kind {
+			t.Fatalf("%s: ExpansionOf = kind %q, %v", kind, e.Kind, ok)
+		}
+		for i := 0; i < probes.Rows; i++ {
+			x := probes.Row(i)
+			want := e.Decision(x)
+			if got := kernel.Expand(e.Kernel, x, e.Basis, e.Coef, e.Bias); math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
+				t.Fatalf("%s: expansion %v, Decision %v on probe %d", kind, got, want, i)
+			}
+		}
 	}
-	panic("unreachable")
+	am, err := CompileApprox(compileFixtures(t)[KindSVC], ApproxSpec{Method: ApproxRFF, Dim: 16, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []any{am, &linear.Regression{}, nil} {
+		if _, ok := ExpansionOf(m); ok {
+			t.Fatalf("ExpansionOf(%T) reported an exact kernel model", m)
+		}
+	}
 }
 
 // TestCompileRoundTrip: compile each kind with each method, marshal,
@@ -116,20 +133,12 @@ func TestCompileRoundTrip(t *testing.T) {
 			// Error bound vs the exact expansion on training rows; the
 			// tradeoff curve lives in EXPERIMENTS.md and the conformance
 			// lane asserts the serving-grade tolerance.
-			var basis *linalg.Matrix
-			switch mm := m.(type) {
-			case *svm.SVC:
-				basis = mm.SV
-			case *svm.OneClass:
-				basis = mm.SV
-			case *gp.Regressor:
-				basis = mm.X
-			}
+			e, _ := ExpansionOf(m)
 			worst := 0.0
-			for i := 0; i < basis.Rows; i++ {
-				e := math.Abs(bm.Decision(basis.Row(i)) - exactDecision(m, basis.Row(i)))
-				if e > worst {
-					worst = e
+			for i := 0; i < e.Basis.Rows; i++ {
+				x := e.Basis.Row(i)
+				if d := math.Abs(bm.Decision(x) - e.Decision(x)); d > worst {
+					worst = d
 				}
 			}
 			t.Logf("%s/%s max train-row |approx − exact| = %.4g", kind, spec.Method, worst)

@@ -135,10 +135,6 @@ func (h *Histogram) Start() Timer {
 	return Timer{h: h, start: time.Now()}
 }
 
-// StartTimer is Start on the histogram registered under name. Hot paths
-// should pre-resolve the histogram and call its Start method instead.
-func StartTimer(name string) Timer { return GetHistogram(name).Start() }
-
 // Stop records the elapsed time and returns it. On a zero Timer it
 // records nothing and returns 0.
 func (t Timer) Stop() time.Duration {

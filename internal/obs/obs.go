@@ -48,9 +48,6 @@ func init() {
 	enabled.Store(os.Getenv("REPRO_OBS") != "0")
 }
 
-// Enabled reports whether metric collection is on.
-func Enabled() bool { return enabled.Load() }
-
 // SetEnabled turns collection on or off at runtime and returns the
 // previous setting so callers can restore it:
 //

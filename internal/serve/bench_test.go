@@ -22,9 +22,8 @@ import (
 // kind whose Gram evaluation batching is meant to amortize. Batching is
 // load-driven, so one client scores one-row batches with no wait, and
 // more clients fill batches with the rows that queue while one is
-// scored. b.N counts single-instance predict requests. scripts/bench.sh
-// records the results in BENCH_ci.json; scripts/loadgen.sh is the
-// ad-hoc twin for a live server.
+// scored. b.N counts single-instance predict requests. scripts/loadgen.sh
+// is the ad-hoc twin for a live server.
 func BenchmarkServeThroughput(b *testing.B) {
 	trained, err := modelzoo.TrainAll(testSeed, 96, 64)
 	if err != nil {

@@ -19,9 +19,8 @@ import (
 // and one extra network hop — at 1 and 3 replicas × 1, 8, and 64
 // concurrent clients against the SVC model, mirroring
 // BenchmarkServeThroughput so the router's overhead is directly
-// comparable (scripts/bench_ratchet.sh warns when replicas=1 costs
-// more than 1.5× the direct single-node path). b.N counts
-// single-instance predict requests.
+// comparable: replicas=1 against the direct single-node path. b.N
+// counts single-instance predict requests.
 func BenchmarkClusterThroughput(b *testing.B) {
 	trained, err := modelzoo.TrainAll(17, 96, 64)
 	if err != nil {

@@ -77,11 +77,9 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/gp"
 	"repro/internal/linalg"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/svm"
 )
 
 // Registry and request metrics. The Front mints the per-endpoint,
@@ -195,15 +193,13 @@ func (s *Server) Load(name string, a *model.Artifact) error {
 		return err
 	}
 	sm := &servedModel{name: name, artifact: a, scorer: scorer}
-	switch a.Model.(type) {
-	case *svm.SVC, *svm.OneClass, *gp.Regressor:
+	if _, exact := model.ExpansionOf(a.Model); exact {
 		// Exact kernel models cost O(basis) per row, so a repeated row is
 		// worth remembering; the other kinds score a row for about what
 		// a memo lookup costs.
 		sm.cache = newRowCache(s.cfg.CacheRows, scorer.Dim())
-	case *model.ApproxModel:
-		sm.compiled = true
 	}
+	_, sm.compiled = a.Model.(*model.ApproxModel)
 	sm.batcher = newBatcher(sm.scoreBatch, scorer.Dim(), s.cfg.MaxBatch)
 
 	s.mu.Lock()

@@ -42,15 +42,6 @@ func (s *MVNSampler) Sample(rng *rand.Rand) []float64 {
 	return x
 }
 
-// SampleN draws n vectors as rows of a matrix.
-func (s *MVNSampler) SampleN(rng *rand.Rand, n int) *linalg.Matrix {
-	m := linalg.NewMatrix(n, len(s.Mean))
-	for i := 0; i < n; i++ {
-		copy(m.Row(i), s.Sample(rng))
-	}
-	return m
-}
-
 // EquiCorrCov builds a d-dimensional covariance matrix with unit variances
 // scaled by sigma and constant pairwise correlation rho.
 func EquiCorrCov(d int, sigma, rho float64) *linalg.Matrix {

@@ -10,13 +10,11 @@ import (
 	"repro/internal/svm"
 )
 
-// BenchmarkIncrementalRefresh is the tentpole's economics claim, pinned:
-// one streaming refresh — delta new samples folded into the window
-// (rank-1 Gram rows via kernel.SlidingGram) plus a warm-started solve —
-// against the cold alternative the batch path would pay: a full O(n²·d)
-// Gram rebuild and a cold solve on the same window. scripts/
-// bench_ratchet.sh compares the two modes within each run and warns if
-// incremental ever stops beating cold.
+// BenchmarkIncrementalRefresh measures the loop's economics claim: one
+// streaming refresh — delta new samples folded into the window (rank-1
+// Gram rows via kernel.SlidingGram) plus a warm-started solve — against
+// the cold alternative the batch path would pay: a full O(n²·d) Gram
+// rebuild and a cold solve on the same window.
 func BenchmarkIncrementalRefresh(b *testing.B) {
 	const (
 		dim   = 12

@@ -60,55 +60,38 @@ func NewSource(name string, seed int64, shiftAt int) (Source, error) {
 	return nil, fmt.Errorf("stream: unknown source %q (want isa, mfgtest, isa-stress, or isa-stress:<profile>)", name)
 }
 
-// ISASource streams constrained-random ISA programs: the generator half
-// of the paper's Figure 7 loop. It starts from the narrow
-// DefaultTemplate; at stream position ShiftAt (if positive) it switches
-// to the wide "try everything" template — a planted concept shift that
-// drives the decision scores of a model trained on the narrow regime
-// sharply negative, which is exactly what the drift detector exists to
-// catch.
-type ISASource struct {
-	gen     *isa.Generator
+// isaSim is what both ISA program sources share: the stream position,
+// its planted shift, and the reference machine with the cumulative
+// coverage of every program simulated so far.
+type isaSim struct {
 	machine *isa.Machine
 	cov     *isa.Coverage // cumulative coverage across simulated tests
 	shiftAt int
 	seq     int
 }
 
-// NewISASource seeds the program stream.
-func NewISASource(seed int64, shiftAt int) *ISASource {
-	return &ISASource{
-		gen:     isa.NewGenerator(isa.DefaultTemplate(), seed),
-		machine: isa.NewMachine(),
-		cov:     &isa.Coverage{},
-		shiftAt: shiftAt,
-	}
+func newISASim(shiftAt int) isaSim {
+	return isaSim{machine: isa.NewMachine(), cov: &isa.Coverage{}, shiftAt: shiftAt}
 }
 
-// Name implements Source.
-func (s *ISASource) Name() string { return "isa" }
+// shifting reports whether the next draw is the planted shift's.
+func (s *isaSim) shifting() bool { return s.shiftAt > 0 && s.seq == s.shiftAt }
 
-// Dim implements Source.
-func (s *ISASource) Dim() int { return len(isa.FeatureNames) }
-
-// Next implements Source.
-func (s *ISASource) Next() Candidate {
-	if s.shiftAt > 0 && s.seq == s.shiftAt {
-		// The planted shift: same rng stream, wider template — every
-		// draw after this point comes from a different distribution.
-		s.gen.T = isa.WideTemplate()
-	}
-	p := s.gen.Next()
+// candidate wraps the program just drawn as the next candidate.
+func (s *isaSim) candidate(p isa.Program) Candidate {
 	c := Candidate{Seq: s.seq, Features: isa.Features(p), payload: p}
 	s.seq++
 	return c
 }
 
+// Dim implements Source.
+func (s *isaSim) Dim() int { return len(isa.FeatureNames) }
+
 // Simulate implements Source: run the program on the reference machine
 // and merge its coverage into the cumulative map. Gain is the number of
 // coverage bins this test hit first — the numerator of the paper's
 // Table-1 economics.
-func (s *ISASource) Simulate(c Candidate) SimResult {
+func (s *isaSim) Simulate(c Candidate) SimResult {
 	p := c.payload.(isa.Program)
 	cov := s.machine.Run(p)
 	before := s.cov.Count()
@@ -121,7 +104,40 @@ func (s *ISASource) Simulate(c Candidate) SimResult {
 
 // CoverageCount returns the cumulative coverage-bin count across every
 // simulated candidate.
-func (s *ISASource) CoverageCount() int { return s.cov.Count() }
+func (s *isaSim) CoverageCount() int { return s.cov.Count() }
+
+// ISASource streams constrained-random ISA programs: the generator half
+// of the paper's Figure 7 loop. It starts from the narrow
+// DefaultTemplate; at stream position ShiftAt (if positive) it switches
+// to the wide "try everything" template — a planted concept shift that
+// drives the decision scores of a model trained on the narrow regime
+// sharply negative, which is exactly what the drift detector exists to
+// catch.
+type ISASource struct {
+	isaSim
+	gen *isa.Generator
+}
+
+// NewISASource seeds the program stream.
+func NewISASource(seed int64, shiftAt int) *ISASource {
+	return &ISASource{
+		isaSim: newISASim(shiftAt),
+		gen:    isa.NewGenerator(isa.DefaultTemplate(), seed),
+	}
+}
+
+// Name implements Source.
+func (s *ISASource) Name() string { return "isa" }
+
+// Next implements Source.
+func (s *ISASource) Next() Candidate {
+	if s.shifting() {
+		// The planted shift: same rng stream, wider template — every
+		// draw after this point comes from a different distribution.
+		s.gen.T = isa.WideTemplate()
+	}
+	return s.candidate(s.gen.Next())
+}
 
 // ISAStressSource streams stress programs from one instruction-mix
 // profile (see isa.StressProfiles). At ShiftAt the stream switches to
@@ -130,12 +146,9 @@ func (s *ISASource) CoverageCount() int { return s.cov.Count() }
 // decision scores of a model trained on the original profile) move
 // sharply.
 type ISAStressSource struct {
-	gen     *isa.StressGen
-	seed    int64
-	machine *isa.Machine
-	cov     *isa.Coverage
-	shiftAt int
-	seq     int
+	isaSim
+	gen  *isa.StressGen
+	seed int64
 }
 
 // NewISAStressSource seeds the stress stream; an empty profile selects
@@ -145,24 +158,15 @@ func NewISAStressSource(profile string, seed int64, shiftAt int) (*ISAStressSour
 	if err != nil {
 		return nil, err
 	}
-	return &ISAStressSource{
-		gen:     gen,
-		seed:    seed,
-		machine: isa.NewMachine(),
-		cov:     &isa.Coverage{},
-		shiftAt: shiftAt,
-	}, nil
+	return &ISAStressSource{isaSim: newISASim(shiftAt), gen: gen, seed: seed}, nil
 }
 
 // Name implements Source.
 func (s *ISAStressSource) Name() string { return "isa-stress:" + s.gen.Profile().Name }
 
-// Dim implements Source.
-func (s *ISAStressSource) Dim() int { return len(isa.FeatureNames) }
-
 // Next implements Source.
 func (s *ISAStressSource) Next() Candidate {
-	if s.shiftAt > 0 && s.seq == s.shiftAt && s.gen.Profile().Name != "store-heavy" {
+	if s.shifting() && s.gen.Profile().Name != "store-heavy" {
 		// The planted shift: reseed deterministically onto the
 		// store-heavy profile (derived from the source seed so the whole
 		// stream stays a pure function of it).
@@ -172,26 +176,8 @@ func (s *ISAStressSource) Next() Candidate {
 		}
 		s.gen = g
 	}
-	p := s.gen.Next()
-	c := Candidate{Seq: s.seq, Features: isa.Features(p), payload: p}
-	s.seq++
-	return c
+	return s.candidate(s.gen.Next())
 }
-
-// Simulate implements Source: identical economics to ISASource.
-func (s *ISAStressSource) Simulate(c Candidate) SimResult {
-	p := c.payload.(isa.Program)
-	cov := s.machine.Run(p)
-	before := s.cov.Count()
-	s.cov.Merge(cov)
-	return SimResult{
-		Cycles: s.machine.Cycles,
-		Gain:   s.cov.Count() - before,
-	}
-}
-
-// CoverageCount returns the cumulative coverage-bin count.
-func (s *ISAStressSource) CoverageCount() int { return s.cov.Count() }
 
 // mfgCyclesPerTest is the nominal tester cost of fully characterizing
 // one parametric test — the unit the mfgtest economics are counted in.

@@ -15,8 +15,7 @@ import (
 // solve that resumes from the previous window's dual weights. A refresh
 // therefore costs one solve from a near-optimal start instead of an
 // O(n²·d) Gram rebuild plus a cold solve — the incremental-vs-cold gap
-// BenchmarkIncrementalRefresh measures and scripts/bench_ratchet.sh
-// guards.
+// BenchmarkIncrementalRefresh measures.
 //
 // The solve reads the window through SlidingGram.Col under the
 // solver's column contract: K is exactly symmetric, and Col(j) is

@@ -9,12 +9,10 @@ import (
 	"net/http/httptest"
 	"time"
 
-	"repro/internal/gp"
 	"repro/internal/linalg"
 	"repro/internal/model"
 	"repro/internal/parallel"
 	"repro/internal/serve"
-	"repro/internal/svm"
 )
 
 // Differential driver: one fitted model, every execution path the repo
@@ -158,39 +156,21 @@ func DiffPathsApprox(exact any, spec model.ApproxSpec, probes *linalg.Matrix, to
 // adversarial constants fall outside and stay covered bitwise by
 // DiffPaths on the compiled model.
 func CompareApproxDecisions(exact any, am *model.ApproxModel, probes *linalg.Matrix, tol Tolerance) error {
-	basis, err := exactBasis(exact)
-	if err != nil {
-		return err
+	e, ok := model.ExpansionOf(exact)
+	if !ok {
+		return fmt.Errorf("testkit: %T is not an exact kernel model", exact)
 	}
-	lo, hi := basisEnvelope(basis)
+	lo, hi := basisEnvelope(e.Basis)
 	var want, got []float64
 	for i := 0; i < probes.Rows; i++ {
 		x := probes.Row(i)
 		if !allFinite(x) || !inBox(x, lo, hi) {
 			continue
 		}
-		w, err := exactDecision(exact, x)
-		if err != nil {
-			return err
-		}
-		want = append(want, w)
+		want = append(want, e.Decision(x))
 		got = append(got, am.Decision(x))
 	}
 	return tol.Compare(want, got)
-}
-
-// exactBasis returns the kernel expansion basis of an exact model.
-func exactBasis(m any) (*linalg.Matrix, error) {
-	switch mm := m.(type) {
-	case *svm.SVC:
-		return mm.SV, nil
-	case *svm.OneClass:
-		return mm.SV, nil
-	case *gp.Regressor:
-		return mm.X, nil
-	default:
-		return nil, fmt.Errorf("testkit: no kernel basis for %T", m)
-	}
 }
 
 // basisEnvelope is the per-coordinate bounding box of the basis rows,
@@ -219,21 +199,6 @@ func inBox(x, lo, hi []float64) bool {
 		}
 	}
 	return true
-}
-
-// exactDecision returns the raw expansion value of an exact kernel
-// model — the quantity a compiled scorer approximates.
-func exactDecision(m any, x []float64) (float64, error) {
-	switch mm := m.(type) {
-	case *svm.SVC:
-		return mm.Decision(x), nil
-	case *svm.OneClass:
-		return mm.Decision(x), nil
-	case *gp.Regressor:
-		return mm.Predict(x), nil
-	default:
-		return 0, fmt.Errorf("testkit: no exact decision for %T", m)
-	}
 }
 
 // scoreRows runs ScoreRow per row with the worker pool pinned to n.

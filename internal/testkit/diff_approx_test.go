@@ -79,22 +79,18 @@ func TestApproxLaneErrorHeadroom(t *testing.T) {
 				if err != nil {
 					t.Fatalf("case %d: compile: %v", idx, err)
 				}
-				basis, err := exactBasis(exact)
-				if err != nil {
-					t.Fatal(err)
+				e, ok := model.ExpansionOf(exact)
+				if !ok {
+					t.Fatalf("case %d: %T is not an exact kernel model", idx, exact)
 				}
-				lo, hi := basisEnvelope(basis)
+				lo, hi := basisEnvelope(e.Basis)
 				for i := 0; i < cs.Probes.Rows; i++ {
 					x := cs.Probes.Row(i)
 					if !allFinite(x) || !inBox(x, lo, hi) {
 						continue
 					}
-					w, err := exactDecision(exact, x)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if e := math.Abs(am.Decision(x) - w); e > worst {
-						worst = e
+					if d := math.Abs(am.Decision(x) - e.Decision(x)); d > worst {
+						worst = d
 					}
 				}
 			}

@@ -31,37 +31,9 @@ func GenBlobs(r *rand.Rand, k, perCluster, dim int, spread float64) *dataset.Dat
 	return dataset.Blobs(r, k, perCluster, dim, 6.0, spread)
 }
 
-// GenSine draws the 1-D noisy-sine regression set.
-func GenSine(r *rand.Rand, n int, noise float64) *dataset.Dataset {
-	return dataset.NoisySine(r, n, noise)
-}
-
 // GenXOR draws the four-blob XOR set (linearly inseparable).
 func GenXOR(r *rand.Rand, nPerBlob int, sigma float64) *dataset.Dataset {
 	return dataset.XOR(r, nPerBlob, sigma)
-}
-
-// GenKernel draws a random kernel from the persistable closed-form
-// family (linear, poly, RBF, sigmoid), optionally cosine-normalized.
-// Every kernel returned here round-trips through model.KernelSpec, so
-// generated kernel models can always be pushed through the artifact
-// differential path.
-func GenKernel(r *rand.Rand, dim int) kernel.Kernel {
-	var k kernel.Kernel
-	switch r.Intn(4) {
-	case 0:
-		k = kernel.Linear{}
-	case 1:
-		k = kernel.Poly{Degree: 2 + r.Intn(2), Gamma: 0.5 + r.Float64(), Coef0: r.Float64()}
-	case 2:
-		k = kernel.RBF{Gamma: (0.2 + r.Float64()) / float64(dim)}
-	default:
-		k = kernel.Sigmoid{Gamma: 0.1 / float64(dim), Coef0: 0.1 * r.Float64()}
-	}
-	if r.Intn(3) == 0 {
-		k = kernel.Normalize{K: k}
-	}
-	return k
 }
 
 // GenPSDKernel draws from the positive-semidefinite subset of the
@@ -146,17 +118,6 @@ func AppendRows(base, extra *linalg.Matrix) *linalg.Matrix {
 	return out
 }
 
-// WithConstantFeature returns a copy of d whose column j is the constant
-// v — the degenerate-feature edge case (zero variance, which scalers,
-// normal equations, and split search must all survive).
-func WithConstantFeature(d *dataset.Dataset, j int, v float64) *dataset.Dataset {
-	x := d.X.Clone()
-	for i := 0; i < x.Rows; i++ {
-		x.Row(i)[j] = v
-	}
-	return dataset.MustNew(x, d.Y, d.Names)
-}
-
 // WithDuplicatedRows returns d with its first k rows appended again —
 // exact duplicates make the Gram matrix rank-deficient, the edge case
 // that Cholesky-based fits must handle via their noise/jitter terms.
@@ -172,14 +133,6 @@ func WithDuplicatedRows(d *dataset.Dataset, k int) *dataset.Dataset {
 		idx = append(idx, i)
 	}
 	return d.Subset(idx)
-}
-
-// RankDeficientGram builds the Gram matrix of x with its first k rows
-// duplicated: by construction the matrix is singular (duplicate rows ⇒
-// duplicate Gram rows) yet must remain PSD within tolerance.
-func RankDeficientGram(k kernel.Kernel, x *linalg.Matrix, dup int) *linalg.Matrix {
-	d := dataset.MustNew(x, nil, nil)
-	return kernel.Gram(k, WithDuplicatedRows(d, dup).X)
 }
 
 // GenProbes draws n in-distribution probe rows around the training

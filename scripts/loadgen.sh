@@ -5,8 +5,7 @@
 # time, throughput, per-priority shed (429) rates, and the server's own
 # batching/shedding metrics from /metrics.
 # BenchmarkServeThroughput and BenchmarkClusterThroughput are the
-# in-process twins that CI records via scripts/bench.sh; this script is
-# for poking a live server.
+# in-process twins; this script is for poking a live server.
 #
 # Usage:
 #   scripts/loadgen.sh [-a host:port] [-m model] [-n requests] [-c clients] [-d dim]
