@@ -1,8 +1,10 @@
-# Developer entry points. `make check` is the pre-commit gate: gofmt, vet,
-# plus the full suite under the race detector (see scripts/check.sh).
-# `make ci` is everything the GitHub workflow runs, locally.
+# Developer entry points. `make test` also builds and runs the five
+# binaries as shipped (binaries_test.go). `make check` is the pre-commit
+# gate: gofmt, vet, plus the full suite under the race detector (see
+# scripts/check.sh). `make ci` is everything the GitHub workflow runs,
+# locally.
 
-.PHONY: build test check bench smoke cluster-smoke stream-smoke datasets-smoke fuzz cover conformance-slow ci
+.PHONY: build test check bench datasets-smoke fuzz cover conformance-slow ci
 
 build:
 	go build ./...
@@ -17,25 +19,6 @@ check:
 # cross-validation, substrate simulation) plus the per-figure harnesses.
 bench:
 	go test -bench=. -benchmem -run='^$$' ./...
-
-# Serving lifecycle end to end: train + save artifacts, boot edaserved,
-# predict over HTTP, graceful SIGTERM exit (see scripts/serve_smoke.sh),
-# then the same lifecycle through the sharded cluster tier and the
-# streaming loop.
-smoke: cluster-smoke stream-smoke
-	./scripts/serve_smoke.sh
-
-# Cluster tier end to end: 3-replica fleet behind edarouter, routed
-# predictions, node kill under traffic, blue/green rollout with zero
-# failed requests, graceful drain (see scripts/cluster_smoke.sh).
-cluster-smoke:
-	./scripts/cluster_smoke.sh
-
-# Streaming loop end to end: edaloop against a live edaserved — planted
-# drift detected, every refresh hot-swapped with zero failed requests,
-# graceful SIGTERM drain (see scripts/stream_smoke.sh).
-stream-smoke:
-	./scripts/stream_smoke.sh
 
 # Benchmark-dataset export end to end: fixed-seed export, payload
 # checksums vs scripts/datasets_checksums.txt, byte-identical re-export,
@@ -59,19 +42,16 @@ cover:
 conformance-slow:
 	go test -tags=slowconformance -run 'TestConformance' -count=1 -v .
 
-# The full CI pipeline locally: the race-clean correctness gate, vet
-# for arm64 (the Go code that stands in for the amd64 assembly), the
-# nested benchmark module's vet and tests, the coverage gate, every
-# benchmark once at -short sizes (a build-and-panic smoke), the serving,
-# cluster, streaming and dataset smokes, and the bounded fuzz sweep.
+# The full CI pipeline locally: the race-clean correctness gate (whose
+# suite runs the binaries), vet for arm64 (the Go code that stands in
+# for the amd64 assembly), the nested benchmark module's vet and tests,
+# the coverage gate, every benchmark once at -short sizes (a
+# build-and-panic smoke), the dataset smoke, and the bounded fuzz sweep.
 ci:
 	./scripts/check.sh
 	GOARCH=arm64 go vet ./...
 	cd cmd/edabench && go vet ./... && go test ./...
 	./scripts/cover.sh
 	go test -short -run '^$$' -bench . -benchtime=1x ./...
-	./scripts/serve_smoke.sh
-	./scripts/cluster_smoke.sh
-	./scripts/stream_smoke.sh
 	./scripts/datasets_smoke.sh
 	./scripts/fuzz.sh

@@ -20,8 +20,8 @@
 // The whole trajectory is a pure function of -seed: same seed, same
 // selected-test sequence, same swap points, same counters (at any
 // -workers). -shift-at plants a distribution shift at that stream
-// position so a drift-triggered refresh is guaranteed — the smoke
-// test's lever. Chaos flags inject deterministic faults at the
+// position so a drift-triggered refresh is guaranteed — the lever
+// TestBinaryLoop pulls. Chaos flags inject deterministic faults at the
 // stream.ingest and stream.retrain sites; the same -chaos-seed replays
 // the identical fault sequence.
 //
@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -154,10 +155,16 @@ func main() {
 			w.Header().Set("Content-Type", "application/json")
 			json.NewEncoder(w).Encode(&snap) //nolint:errcheck — best-effort status
 		})
-		httpSrv = &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+		// Bind before printing, so the line names the bound address
+		// (with -addr 127.0.0.1:0, the free port the system chose).
+		ln, err := net.Listen("tcp", *addr)
+		if err != nil {
+			fatal(err)
+		}
+		httpSrv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+		fmt.Printf("edaloop: serving %q on %s (status at /loop/status)\n", *modelName, ln.Addr())
 		go func() {
-			fmt.Printf("edaloop: serving %q on %s (status at /loop/status)\n", *modelName, *addr)
-			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "edaloop: serve:", err)
 				os.Exit(1)
 			}

@@ -29,6 +29,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -122,8 +123,13 @@ func main() {
 		len(replicas), healthy, *replication)
 	rt.StartProbing(*probeInterval)
 
+	// Bind before printing, so the line names the bound address (with
+	// -addr 127.0.0.1:0, the free port the system chose).
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           rt.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
@@ -133,9 +139,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 	errc := make(chan error, 1)
+	fmt.Printf("edarouter: listening on %s\n", ln.Addr())
 	go func() {
-		fmt.Printf("edarouter: listening on %s\n", *addr)
-		errc <- httpSrv.ListenAndServe()
+		errc <- httpSrv.Serve(ln)
 	}()
 
 	select {

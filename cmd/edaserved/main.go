@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -129,8 +130,13 @@ func main() {
 		fmt.Println("edaserved: no models loaded; /readyz stays 503 until PUT /models/{name}")
 	}
 
+	// Bind before printing, so the line names the bound address (with
+	// -addr 127.0.0.1:0, the free port the system chose).
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
@@ -140,9 +146,9 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 	errc := make(chan error, 1)
+	fmt.Printf("edaserved: listening on %s\n", ln.Addr())
 	go func() {
-		fmt.Printf("edaserved: listening on %s\n", *addr)
-		errc <- httpSrv.ListenAndServe()
+		errc <- httpSrv.Serve(ln)
 	}()
 
 	select {

@@ -99,12 +99,6 @@ func ArtifactFile(dir string, kind model.Kind) string {
 	return filepath.Join(dir, string(kind)+".model.json")
 }
 
-// ApproxArtifactFile returns the conventional filename for the compiled
-// approx-linear form of a kernel kind.
-func ApproxArtifactFile(dir string, kind model.Kind) string {
-	return filepath.Join(dir, string(kind)+".approx.model.json")
-}
-
 // Trained couples a fitted model with its probe matrix and the
 // in-process predictions the round-tripped model must reproduce. The
 // serve end-to-end tests reuse it to compare HTTP predictions against

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-
 	"repro/internal/dataset"
 	"repro/internal/gp"
 	"repro/internal/kernel"
@@ -47,39 +45,6 @@ type knnRegressor struct{ m *knn.Model }
 func (k knnRegressor) Predict(x []float64) float64 { return k.m.Regress(x) }
 func (k knnRegressor) PredictAll(d *dataset.Dataset) []float64 {
 	return k.m.RegressAll(d)
-}
-
-// StandardClassifiers returns ready-made classifier fitters for the
-// common families, used by the quickstart example and the survey bench.
-func StandardClassifiers(rng *rand.Rand) map[string]ClassifierFitter {
-	return map[string]ClassifierFitter{
-		"knn": func(d *dataset.Dataset) (Classifier, error) {
-			m, err := knn.Fit(d, 5, nil)
-			if err != nil {
-				return nil, err
-			}
-			return knnClassifier{m}, nil
-		},
-		"svc-rbf": func(d *dataset.Dataset) (Classifier, error) {
-			return svm.FitSVC(d, kernel.RBF{Gamma: 1.0 / float64(d.Dim())}, svm.SVCConfig{C: 5})
-		},
-		"tree": func(d *dataset.Dataset) (Classifier, error) {
-			return tree.Fit(d, tree.Config{MaxDepth: 8})
-		},
-		"forest": func(d *dataset.Dataset) (Classifier, error) {
-			return tree.FitForest(rng, d, tree.ForestConfig{NTrees: 30, MaxDepth: 10})
-		},
-		"logistic": func(d *dataset.Dataset) (Classifier, error) {
-			return linear.FitLogistic(d, linear.LogisticConfig{Epochs: 300})
-		},
-	}
-}
-
-type knnClassifier struct{ m *knn.Model }
-
-func (k knnClassifier) Predict(x []float64) float64 { return k.m.Classify(x) }
-func (k knnClassifier) PredictAll(d *dataset.Dataset) []float64 {
-	return k.m.ClassifyAll(d)
 }
 
 // Interface conformance checks for the concrete learner types used across

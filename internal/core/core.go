@@ -48,10 +48,6 @@ type NoveltyDetector interface {
 	Novel(x []float64) bool
 }
 
-// ClassifierFitter builds a classifier from a dataset; implementations
-// wrap the algorithm packages so applications can sweep families.
-type ClassifierFitter func(d *dataset.Dataset) (Classifier, error)
-
 // RegressorFitter builds a regressor from a dataset.
 type RegressorFitter func(d *dataset.Dataset) (Regressor, error)
 

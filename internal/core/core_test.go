@@ -38,19 +38,3 @@ func TestFiveRegressorsAllFitFriedman(t *testing.T) {
 		}
 	}
 }
-
-func TestStandardClassifiersAllFit(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	d := dataset.TwoGaussians(rng, 60, 3, 4, 1)
-	tr, te := d.StratifiedSplit(rng, 0.7)
-	for name, fit := range StandardClassifiers(rng) {
-		m, err := fit(tr)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		acc := validate.Accuracy(m.PredictAll(te), te.Y)
-		if acc < 0.85 {
-			t.Fatalf("%s: accuracy %g", name, acc)
-		}
-	}
-}

@@ -86,17 +86,14 @@ const minParallel = 8
 // Workers pull fixed-size chunks off a shared counter, so ranges with
 // uneven per-index cost (the shrinking rows of a triangular Gram sweep)
 // balance across cores without a scheduler. When Workers() <= 1 or
-// n < ForCutover, fn is called once as fn(0, n) on the caller's
-// goroutine — the serial path, bit-identical by construction.
+// n < 8, fn is called once as fn(0, n) on the caller's goroutine — the
+// serial path, bit-identical by construction.
 //
 // A panic in any worker is re-raised on the calling goroutine after all
 // workers finish.
 func For(n int, fn func(lo, hi int)) {
 	ForN(n, minParallel, fn)
 }
-
-// ForCutover is the default minimum n at which For goes parallel.
-const ForCutover = minParallel
 
 // ForN is For with an explicit cutover: the loop runs serially while
 // n < minN. Hot paths pass a cutover sized to their per-index cost.

@@ -42,8 +42,9 @@
 //     never silently retried into a different replica: shedding is a
 //     load decision, and rerouting shed traffic would defeat it.
 //     Failover across replicas happens only for failures where the
-//     server never answered (transport errors, AttemptTimeout) or
-//     answered 5xx; it is the only retry, as the clients never retry.
+//     server never answered (transport errors, AttemptTimeout),
+//     answered 5xx, or answered 200 without one prediction per row; it
+//     is the only retry, as the clients never retry.
 //   - Blue/green rollout: PUT /models/{name} on the router, whose body
 //     is the artifact itself, passes the same front checks as on a
 //     single node (a body model.Decode refuses reaches no replica),
@@ -51,8 +52,8 @@
 //     the same bytes to each replica's PUT /models/{name}. No replica
 //     shares a filesystem with the caller or the router. Each replica
 //     swaps atomically and the other owners keep serving, so a version
-//     rollout drops zero requests (cluster_smoke.sh and
-//     TestClusterRolloutZeroDrops drive this under live traffic).
+//     rollout drops zero requests (binaries_test.go's TestBinaryCluster
+//     and TestClusterRolloutZeroDrops drive this under live traffic).
 //   - Chaos: two injection sites (internal/fault). cluster.route fails
 //     or stalls the routing step itself; cluster.replica_down
 //     partitions the router from one owner for one request. Both are

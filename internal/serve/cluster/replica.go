@@ -75,7 +75,9 @@ func (r *Replica) Probe(ctx context.Context) error {
 // A reply from the server — any status — proves the node is alive, so
 // only failures where it never answered (StatusCode 0: refused
 // connections, timeouts) count toward marking it down; a 429 or a 500
-// is an unhealthy answer, not an unreachable host.
+// is an unhealthy answer, not an unreachable host. A 200 without one
+// prediction per row is a failed attempt too, from a replica that
+// answered: it counts as a failure and leaves the replica in service.
 func (r *Replica) predict(ctx context.Context, model string, instances [][]float64, priority string) (*serve.PredictResponse, error) {
 	r.requests.Inc()
 	p, err := r.c.TryPredict(ctx, model, instances, priority)
@@ -89,6 +91,10 @@ func (r *Replica) predict(ctx context.Context, model string, instances [][]float
 		return nil, err
 	}
 	r.noteSuccess()
+	if len(p.Predictions) != len(instances) {
+		r.failures.Inc()
+		return nil, fmt.Errorf("replica %d answered %d predictions for %d rows", r.Index, len(p.Predictions), len(instances))
+	}
 	r.instances.Add(int64(len(p.Predictions)))
 	return p, nil
 }

@@ -339,8 +339,9 @@ func (rt *Router) handlePredict(ctx context.Context, w http.ResponseWriter, r *h
 
 // routeChunk scores one chunk, starting at avail[start] and failing
 // over through the remaining healthy owners in order. Failover happens
-// only when the replica never answered (transport error) or answered
-// 5xx; a 429 is propagated immediately — a shed request must never be
+// only when the replica never answered (transport error), answered 5xx,
+// or answered 200 without one prediction per row; a 429 is propagated
+// immediately — a shed request must never be
 // silently retried into a different replica, that would convert
 // load-shedding into load-spreading — and any other 4xx is the
 // caller's bug on every replica alike. Only the unanswered attempts

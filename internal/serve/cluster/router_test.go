@@ -28,10 +28,12 @@ import (
 // every load, and answering predict with a scripted status while
 // recording what it saw. Its /readyz answers readyz (200 when zero).
 // While stalls is set, a predict for the model "stall" never answers:
-// it waits for the caller to give up.
+// it waits for the caller to give up. While short is set, a 200 carries
+// one prediction fewer than the request has rows.
 type fakeReplica struct {
 	readyz   int
 	stalls   atomic.Bool
+	short    atomic.Bool
 	status   atomic.Int64 // predict reply status; 0 or 200 serves real-looking predictions
 	hits     atomic.Int64
 	probes   atomic.Int64 // requests to /readyz
@@ -83,6 +85,9 @@ func (f *fakeReplica) handler() http.Handler {
 			if len(row) > 0 {
 				preds[i] = row[0]
 			}
+		}
+		if f.short.Load() && len(preds) > 0 {
+			preds = preds[:len(preds)-1]
 		}
 		json.NewEncoder(w).Encode(serve.PredictResponse{ //nolint:errcheck — test fake
 			Model: "m", Kind: "fake", Predictions: preds,
@@ -290,6 +295,43 @@ func TestFailoverOn5xx(t *testing.T) {
 	}
 	if got := failovers.Value(); got != before+10 {
 		t.Errorf("after recovery: cluster.failovers = %d, want %d", got, before+10)
+	}
+}
+
+// TestShortReplyFailsOver: a 200 with fewer predictions than the chunk
+// has rows is a failed attempt. The chunk fails over to the next owner,
+// the reply counts in the primary's failures, and the primary, which
+// answered, stays in service. When no owner answers one prediction per
+// row the caller gets 502, never a 200 with the wrong count.
+func TestShortReplyFailsOver(t *testing.T) {
+	rt, fakes := fakeCluster(t, Config{Replication: 2}, http.StatusOK, http.StatusOK)
+	primary := rt.Owners("m")[0]
+	fakes[primary].short.Store(true)
+	failures := obs.GetCounter(fmt.Sprintf("cluster.replica.%d.failures", primary))
+	before := failures.Value()
+	const threeRows = `{"instances": [[0],[1],[2]]}`
+
+	rec := postPredict(rt.Handler(), "m", threeRows, "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200 from the second owner: %s", rec.Code, rec.Body.String())
+	}
+	var resp serve.PredictResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{0, 1, 2}; fmt.Sprint(resp.Predictions) != fmt.Sprint(want) {
+		t.Fatalf("predictions %v, want %v", resp.Predictions, want)
+	}
+	if got := failures.Value() - before; got != 1 {
+		t.Errorf("cluster.replica.%d.failures rose by %d, want 1", primary, got)
+	}
+	if !rt.Replicas()[primary].Healthy() {
+		t.Errorf("a replica that answered left the serving set")
+	}
+
+	fakes[1-primary].short.Store(true)
+	if rec := postPredict(rt.Handler(), "m", threeRows, ""); rec.Code != http.StatusBadGateway {
+		t.Fatalf("status %d with every owner answering short, want 502: %s", rec.Code, rec.Body.String())
 	}
 }
 

@@ -97,10 +97,14 @@ var (
 	approxFastPath = obs.GetCounter("approx.fast_path_hits")
 )
 
-// Config controls the serving behavior.
+// Config controls the serving behavior. Each field's comment says what
+// its zero value does. edaserved's flag defaults are the shipped values,
+// and testkit.ShippedServeConfig mirrors them; they differ from the zero
+// Config in CacheRows, RequestTimeout and DrainTimeout.
 type Config struct {
 	// MaxBatch caps the rows one scoring call takes from a model's
-	// queue; 1 disables batching. Default 16.
+	// queue; 1 disables batching. Zero means 16, as edaserved's
+	// -max-batch ships.
 	MaxBatch int
 	// Deprecated: MaxWait is ignored, because the batcher never holds a
 	// batch open. The field stays while cmd/edabench, the repository's
@@ -108,21 +112,23 @@ type Config struct {
 	MaxWait time.Duration
 	// MaxInFlight bounds concurrently served predict requests; excess
 	// requests get 429, lowest priority first (low tier sheds at 50% of
-	// the bound, normal at 90%, high at 100%). Default 256.
+	// the bound, normal at 90%, high at 100%). Zero means 256, as
+	// edaserved's -max-inflight ships.
 	MaxInFlight int
 	// CacheRows is the score-memo capacity per exact kernel model (SVC,
 	// one-class, GP): how many input rows keep their score for reuse.
-	// 0 disables the memo. Default 1024.
+	// Zero turns the memo off; edaserved's -cache-rows ships 1024.
 	CacheRows int
 	// RequestTimeout is the per-request deadline for predict requests:
 	// the request context (and through it the batcher and kernel eval)
-	// is canceled when it expires, and the caller gets 504. Zero
-	// disables the deadline.
+	// is canceled when it expires, and the caller gets 504. Zero means
+	// no deadline; edaserved's -request-timeout ships 10s.
 	RequestTimeout time.Duration
 	// DrainTimeout bounds Close: each model queue gets this long to
 	// drain normally before its scoring context is canceled (and, as a
 	// last resort against a scorer that ignores cancellation, the queue
-	// goroutine abandoned). Default 5s.
+	// goroutine abandoned). Zero means 5s; edaserved's -drain-timeout
+	// ships 10s.
 	DrainTimeout time.Duration
 }
 

@@ -95,10 +95,10 @@ sweep ./internal/isa/ 'TestStressPureFunctionOfSeed'
 # passes, and must match its element-accessor reference bit for bit,
 # and the loop's trajectory must not move, at every pool width: the
 # width moves SlidingGram.Append across its serial/parallel cutover.
+# The kernel-rows sweep below covers the sliding Gram's own tests.
 echo "== one-class solver bit identity at 1/2/8 workers (race) =="
 sweep ./internal/linalg/ 'TestAXPY4MatchesAXPY|TestStepScanMatchesTwoPasses'
 sweep ./internal/svm/ 'TestSolveOneClassMatchesReference'
-sweep ./internal/kernel/ 'TestSlidingGram'
 sweep ./internal/stream/ 'TestLoopDeterminism|TestWarmStartMatchesColdDecision'
 
 # Every kernel row goes through kernel.EvalRows (for RBF, squared
