@@ -27,8 +27,9 @@ datasets-smoke:
 	./scripts/datasets_smoke.sh
 
 # Bounded fuzz sweep over the untrusted-input decoders (artifact decode,
-# node and router predict handlers, node and router load handlers,
-# dataset decode); FUZZTIME=2m make fuzz for a longer run.
+# node and router predict handlers, node and router load handlers, the
+# router's handling of replica replies, dataset decode); FUZZTIME=2m
+# make fuzz for a longer run.
 fuzz:
 	./scripts/fuzz.sh
 

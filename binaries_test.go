@@ -73,16 +73,14 @@ func bin(t *testing.T, name string) string {
 }
 
 // mined runs `edamine -quick -manifest M -save-model DIR all` once per
-// test process and returns DIR and M. The serve and cluster tests boot
-// from DIR's artifacts.
+// test process and returns DIR and M. DIR and its parent do not exist
+// beforehand, so edamine must make them. The serve and cluster tests
+// boot from DIR's artifacts.
 func mined(t *testing.T) (dir, manifest string) {
 	t.Helper()
 	edamine := bin(t, "edamine")
-	dir, manifest = filepath.Join(buildDir, "models"), filepath.Join(buildDir, "manifest.json")
+	dir, manifest = filepath.Join(buildDir, "mined", "models"), filepath.Join(buildDir, "manifest.json")
 	mineOnce.Do(func() {
-		if mineErr = os.Mkdir(dir, 0o755); mineErr != nil {
-			return
-		}
 		cmd := exec.Command(edamine, "-quick", "-manifest", manifest, "-save-model", dir, "all")
 		cmd.Dir = buildDir
 		if out, err := cmd.CombinedOutput(); err != nil {

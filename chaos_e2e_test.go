@@ -30,6 +30,7 @@ package repro_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -116,10 +117,13 @@ func runChaos(t *testing.T, trained []modelzoo.Trained, seed int64) (map[string]
 // status this fault plan produces (an injected decode or kernel-eval
 // error); anything else is returned as it is.
 func predictWithRetry(ctx context.Context, c *client.Client, name string, row []float64) (*serve.PredictResponse, error) {
-	var err error
+	body, err := json.Marshal(serve.PredictRequest{Instances: [][]float64{row}})
+	if err != nil {
+		return nil, err
+	}
 	for attempt := 0; attempt < 10; attempt++ {
 		var p *serve.PredictResponse
-		p, err = c.TryPredict(ctx, name, [][]float64{row}, "")
+		p, err = c.TryPredict(ctx, name, body, "")
 		if client.StatusCode(err) != http.StatusInternalServerError {
 			return p, err
 		}

@@ -6,7 +6,7 @@ package repro_test
 // (cluster.replica_down), fails the routing step (cluster.route), and
 // injects replica-side scoring faults (serve.kernel_eval), plus one
 // genuine node kill mid-run: the victim's listener really closes, so
-// the router eats a refused connection, fails the chunk over to
+// the router eats a refused connection, fails the request over to
 // another owner, and routes around the corpse from then on.
 //
 // Three claims, mirroring the single-node chaos test:
@@ -23,11 +23,9 @@ package repro_test
 //     draws a different fault sequence.
 //
 // Determinism holds because requests are driven serially one row at a
-// time (SpreadMin above any batch keeps each request on a single
-// replica, so the replica-side kernel_eval stream is consumed in a
-// fixed order — fan-out bit-identity is pinned fault-free by the
-// testkit cluster lane), the router draws its per-owner partition
-// faults serially before any I/O, replica health moves only on those
+// time and each one is scored on a single replica (so the replica-side
+// kernel_eval stream is consumed in a fixed order), the router draws
+// its per-owner partition faults serially before any I/O, replica health moves only on those
 // counted events and never on a clock, the kill happens at a fixed
 // point in the schedule, and the comparison
 // uses counters only (histograms measure wall time, which chaos makes
@@ -119,7 +117,6 @@ func runClusterChaos(t *testing.T, trained []modelzoo.Trained, seed int64) (map[
 
 	lc, err := cluster.NewLocal(3, serve.Config{MaxBatch: 1, RequestTimeout: 10 * time.Second}, cluster.Config{
 		Replication: 3,
-		SpreadMin:   1 << 20, // single-replica requests: keep replica-side fault draws serial
 		DownAfter:   1,
 	})
 	if err != nil {

@@ -1,11 +1,11 @@
 package repro_test
 
-// Cluster conformance lane (ISSUE 7): every persisted model kind,
-// scored through a real 3-node cluster — three serve.Servers on
-// loopback listeners behind the consistent-hash router — must be
-// bit-identical to single-node per-row scoring. Replication 3 and a
-// tiny SpreadMin force genuine cross-node fan-out and merge, so this
-// pins the router's split/merge arithmetic, not just its plumbing.
+// Cluster conformance lane: every persisted model kind, scored through
+// a real 3-node cluster — three serve.Servers on loopback listeners
+// behind the consistent-hash router, each at its binary's shipped
+// configuration — must be bit-identical to single-node per-row scoring,
+// on a fresh batch, on the same batch again from the score memo, and
+// row by row (testkit.DiffPathsCluster).
 
 import (
 	"testing"

@@ -1,11 +1,12 @@
 // Command edarouter fronts a fleet of edaserved replicas with the
 // sharded cluster router (internal/serve/cluster): consistent-hash
 // model→shard routing with replication, health-gated membership fed by
-// background readiness probes, batch fan-out across healthy owners,
-// and blue/green rollout: PUT /models/{name} checks the artifact in the
-// body as a single node would, then forwards the same bytes to each
-// owner's PUT /models/{name} in ring order, so the router and the
-// replicas share no filesystem. Its HTTP front (wire types,
+// background readiness probes, each predict sent whole to one healthy
+// owner with failover to the next, and blue/green rollout: PUT
+// /models/{name} checks the artifact in the body as a single node
+// would, then forwards the same bytes to each owner's PUT
+// /models/{name} in ring order, so the router and the replicas share
+// no filesystem. Its HTTP front (wire types,
 // priority-tiered admission, deadlines, load checks, error replies,
 // /healthz and /metrics) is edaserved's own serve.Front.
 //
@@ -18,6 +19,9 @@
 //	          [-spread-min 8] [-down-after 1] [-drain-timeout 10s]
 //	          [-chaos-seed N] [-chaos-err p] [-chaos-latency-rate p]
 //	          [-chaos-latency d]
+//
+// -spread-min is accepted and ignored: no request is split across
+// owners.
 //
 // The router exposes the same HTTP surface as a single edaserved, so
 // existing clients point at it unchanged. On SIGTERM/SIGINT it flips
@@ -56,7 +60,7 @@ var (
 	reqTimeout    = flag.Duration("request-timeout", 10*time.Second, "end-to-end deadline per routed request, all failovers included (negative disables)")
 	attTimeout    = flag.Duration("attempt-timeout", 5*time.Second, "per-replica attempt deadline")
 	probeInterval = flag.Duration("probe-interval", time.Second, "background readiness probe period")
-	spreadMin     = flag.Int("spread-min", 8, "minimum batch size to fan out across owners")
+	_             = flag.Int("spread-min", 8, "ignored: every request goes whole to one owner (deprecated)")
 	downAfter     = flag.Int("down-after", 1, "consecutive failures before a replica leaves the serving set")
 	drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "deadline for in-flight requests during shutdown")
 	version       = flag.Bool("version", false, "print the build revision and exit")
@@ -110,7 +114,6 @@ func main() {
 		MaxInFlight:    *maxInflight,
 		RequestTimeout: *reqTimeout,
 		AttemptTimeout: *attTimeout,
-		SpreadMin:      *spreadMin,
 		DownAfter:      *downAfter,
 	}, replicas)
 	defer rt.Close()

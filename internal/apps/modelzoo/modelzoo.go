@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 
@@ -41,7 +42,7 @@ var (
 // Config controls the experiment.
 type Config struct {
 	Seed        int64
-	SaveDir     string // when set, write one artifact per kind here
+	SaveDir     string // when set, write one artifact per kind here, creating it if need be
 	LoadDir     string // when set, read artifacts back and verify them
 	ManifestRef string // recorded in each artifact's envelope
 	Train       int    // training samples per model, default 160
@@ -263,6 +264,12 @@ func trainSetError(e model.Expansion, train *linalg.Matrix, am *model.ApproxMode
 // Run executes the experiment (see the package comment).
 func Run(cfg Config) (*Result, error) {
 	cfg.defaults()
+	if cfg.SaveDir != "" {
+		// Before training, so a directory that cannot be made costs nothing.
+		if err := os.MkdirAll(cfg.SaveDir, 0o755); err != nil {
+			return nil, fmt.Errorf("modelzoo: mkdir: %w", err)
+		}
+	}
 	models, err := TrainAll(cfg.Seed, cfg.Train, cfg.Probes)
 	if err != nil {
 		return nil, err

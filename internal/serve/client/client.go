@@ -1,11 +1,12 @@
 // Package client is the typed HTTP client for the serving layer
 // (internal/serve), on the wire types serve declares for both servers;
-// an artifact travels as its own schema-v1 envelope bytes. Every call
-// is exactly one counted attempt under one timeout: the client never
-// retries and keeps no verdict on whether a host is up. The cluster
-// router (internal/serve/cluster) fails over to another replica
-// instead, the only retry in the serving stack, and reads each outcome
-// through StatusCode to keep its own record of replica health.
+// an artifact travels as its own schema-v1 envelope bytes, and a
+// predict as its request body's bytes. Every call is exactly one
+// counted attempt under one timeout: the client never retries and
+// keeps no verdict on whether a host is up. The cluster router
+// (internal/serve/cluster) fails over to another replica instead, the
+// only retry in the serving stack, and reads each outcome through
+// StatusCode to keep its own record of replica health.
 package client
 
 import (
@@ -50,7 +51,8 @@ func New(cfg Config) *Client {
 	return &Client{cfg: cfg}
 }
 
-// httpStatusError is a non-2xx reply.
+// httpStatusError is a reply the caller cannot use: a non-2xx status,
+// or a 2xx whose body did not decode.
 type httpStatusError struct {
 	status int
 	msg    string
@@ -96,7 +98,8 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	}
 	if out != nil {
 		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("client: decode response: %w", err)
+			// The server answered; only its body is unusable.
+			return &httpStatusError{status: resp.StatusCode, msg: "decode response: " + err.Error()}
 		}
 	}
 	return nil
@@ -113,14 +116,11 @@ func (c *Client) Try(ctx context.Context, method, path string, body []byte, out 
 	return err
 }
 
-// TryPredict is a single-attempt POST /predict/{modelName} with a
-// per-call priority (the tier the router forwards from the original
-// request; empty sends no X-Priority header).
-func (c *Client) TryPredict(ctx context.Context, modelName string, instances [][]float64, priority string) (*serve.PredictResponse, error) {
-	body, err := json.Marshal(serve.PredictRequest{Instances: instances})
-	if err != nil {
-		return nil, fmt.Errorf("client: marshal request: %w", err)
-	}
+// TryPredict is a single-attempt POST /predict/{modelName} whose body is
+// exactly the bytes the caller passed (a serve.PredictRequest, as JSON),
+// with a per-call priority (the tier the router forwards from the
+// original request; empty sends no X-Priority header).
+func (c *Client) TryPredict(ctx context.Context, modelName string, body []byte, priority string) (*serve.PredictResponse, error) {
 	var out serve.PredictResponse
 	if err := c.Try(ctx, http.MethodPost, namePath("/predict/", modelName), body, &out, priority); err != nil {
 		return nil, err
@@ -153,10 +153,12 @@ func (c *Client) TryModels(ctx context.Context) ([]serve.ModelInfo, error) {
 	return out, nil
 }
 
-// StatusCode extracts the HTTP status carried by an error from this
-// package, or 0 for failures where the server never answered (refused
-// connections, timeouts, a request that could not be sent) and a
-// different replica may. Works through %w wrapping.
+// StatusCode extracts the HTTP status of the reply an error from this
+// package carries: a non-2xx reply, or a 2xx reply whose body did not
+// decode. It returns 0 for failures where the server never answered
+// (refused connections, timeouts, a request that could not be sent, a
+// reply cut off before its end) and a different replica may. Works
+// through %w wrapping.
 func StatusCode(err error) int {
 	var se *httpStatusError
 	if errors.As(err, &se) {

@@ -25,7 +25,7 @@ func TestClientRaceClean(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if _, err := c.TryPredict(context.Background(), "m", [][]float64{{1, 2}}, ""); err != nil {
+				if _, err := c.TryPredict(context.Background(), "m", []byte(`{"instances": [[1, 2]]}`), ""); err != nil {
 					t.Error(err)
 					return
 				}

@@ -91,13 +91,14 @@ func TestTryPredictPriorityOverride(t *testing.T) {
 	defer ts.Close()
 	c := New(Config{BaseURL: ts.URL})
 	ctx := context.Background()
-	if _, err := c.TryPredict(ctx, "m", [][]float64{{1}}, "high"); err != nil {
+	oneRow := []byte(`{"instances": [[1]]}`)
+	if _, err := c.TryPredict(ctx, "m", oneRow, "high"); err != nil {
 		t.Fatal(err)
 	}
 	if got := lastPrio.Load().([]string); len(got) != 1 || got[0] != "high" {
 		t.Fatalf("tier high: server saw X-Priority %q, want [high]", got)
 	}
-	if _, err := c.TryPredict(ctx, "m", [][]float64{{1}}, ""); err != nil {
+	if _, err := c.TryPredict(ctx, "m", oneRow, ""); err != nil {
 		t.Fatal(err)
 	}
 	if got := lastPrio.Load().([]string); len(got) != 0 {
@@ -149,8 +150,8 @@ func TestTryLoadAndModels(t *testing.T) {
 }
 
 // TestStatusCodeExtraction: StatusCode reads the status of every non-2xx
-// reply, 4xx and 5xx alike, and returns 0 for transport-level failures
-// where no server answered.
+// reply, 4xx and 5xx alike, and of a 2xx whose body does not decode,
+// and returns 0 for transport-level failures where no server answered.
 func TestStatusCodeExtraction(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
@@ -158,6 +159,8 @@ func TestStatusCodeExtraction(t *testing.T) {
 			w.WriteHeader(http.StatusTeapot)
 		case "/throttle":
 			w.WriteHeader(http.StatusTooManyRequests)
+		case "/garbled":
+			fmt.Fprint(w, "not json")
 		default:
 			w.WriteHeader(http.StatusBadGateway)
 		}
@@ -174,6 +177,10 @@ func TestStatusCodeExtraction(t *testing.T) {
 		if got := StatusCode(err); got != want {
 			t.Errorf("%s: StatusCode = %d, want %d", path, got, want)
 		}
+	}
+	var out struct{}
+	if got := StatusCode(c.Try(ctx, http.MethodGet, "/garbled", nil, &out, "")); got != http.StatusOK {
+		t.Errorf("/garbled: StatusCode = %d, want 200, the status of the reply that did not decode", got)
 	}
 	ts.Close() // now every call is a refused connection
 	err := c.Try(ctx, http.MethodGet, "/teapot", nil, nil, "")

@@ -15,8 +15,8 @@ import (
 )
 
 // BenchmarkClusterThroughput measures end-to-end predict throughput
-// through the cluster router — admission, ring lookup, fan-out, merge,
-// and one extra network hop — at 1 and 3 replicas × 1, 8, and 64
+// through the cluster router — admission, ring lookup, and one extra
+// network hop to one owner — at 1 and 3 replicas × 1, 8, and 64
 // concurrent clients against the SVC model, mirroring
 // BenchmarkServeThroughput so the router's overhead is directly
 // comparable: replicas=1 against the direct single-node path. b.N

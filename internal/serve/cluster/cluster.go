@@ -3,9 +3,9 @@
 // A Router fronts a fixed fleet of replica servers (each one an
 // ordinary edaserved / serve.Server), maps every model onto a subset of
 // the fleet with a consistent-hash ring, gates membership on health,
-// and fans prediction batches out across the healthy owners of a model
-// — merging the per-replica answers back into one response that is
-// bit-identical to single-node serving.
+// and sends each prediction request whole to one healthy owner of its
+// model, so every routed reply comes from one replica's one artifact
+// and is bit-identical to single-node serving.
 //
 // Architecture (net/http only, like everything else in the repo):
 //
@@ -20,19 +20,21 @@
 //     only while healthy, and its health is the one record that says
 //     so. DownAfter consecutive requests that never reached it, or
 //     failed readiness probes, mark it down; any HTTP answer to a
-//     request proves it up, so a 429 or a 5xx never takes it out. A
+//     request proves it up, so a 429, a 5xx or a reply body that does
+//     not decode never takes it out. A
 //     successful readiness probe (GET /readyz: the background prober,
 //     ProbeAll, Probe, or the probe after each load) is the way back
 //     in. Routing never consults an unhealthy replica, so a dead node
 //     costs at most DownAfter failed requests fleet-wide before traffic
 //     routes around it.
-//   - Fan-out and merge (router.go): a predict batch of n instances
-//     for a model with k healthy owners is split into k contiguous
-//     chunks scored concurrently, one per owner, and the chunk results
-//     are merged back in request order. Scoring is row-independent and
-//     deterministic, so the merged vector is bit-identical to any
-//     single node scoring the whole batch (the testkit DiffPaths
-//     cluster lane asserts this for all six persisted kinds).
+//   - One owner per request (router.go): a predict goes whole, as the
+//     body bytes the front read and checked, to the first healthy owner
+//     in ring order, and to the next only when that one gives no usable
+//     answer. A single node answers each request from one model, even
+//     across a hot swap, so a routed reply never mixes two versions,
+//     even mid-rollout, and is bit-identical to single-node scoring (the
+//     testkit DiffPathsCluster lane asserts this for all six persisted
+//     kinds).
 //   - Admission before routing: the router mounts the same HTTP front
 //     as a single node (serve.Front, scope "cluster"), so a predict
 //     passes the same gate (method, drain, priority-tiered shedding —
@@ -43,8 +45,9 @@
 //     load decision, and rerouting shed traffic would defeat it.
 //     Failover across replicas happens only for failures where the
 //     server never answered (transport errors, AttemptTimeout),
-//     answered 5xx, or answered 200 without one prediction per row; it
-//     is the only retry, as the clients never retry.
+//     answered 5xx, or answered a 2xx that does not decode to one
+//     prediction per row; it is the only retry, as the clients never
+//     retry.
 //   - Blue/green rollout: PUT /models/{name} on the router, whose body
 //     is the artifact itself, passes the same front checks as on a
 //     single node (a body model.Decode refuses reaches no replica),
@@ -89,15 +92,16 @@ type Config struct {
 	// default; negative disables the deadline.
 	RequestTimeout time.Duration
 	// AttemptTimeout bounds each per-replica attempt, reading the reply
-	// included; past it the chunk fails over. Default 5s.
+	// included; past it the request fails over to the next owner.
+	// Default 5s.
 	AttemptTimeout time.Duration
 	// DownAfter is how many consecutive requests that never reached a
 	// replica, or failed probes, mark it unhealthy. Default 1: route
 	// around a node on the first failure — probes bring it back.
 	DownAfter int
-	// SpreadMin is the minimum instance count at which a batch is
-	// split across the model's healthy owners; smaller batches go
-	// whole to the first healthy owner in ring order. Default 8.
+	// Deprecated: SpreadMin is ignored, because every request goes whole
+	// to one owner. It stays while the benchmark, cmd/edabench, sets it
+	// and pins edarouter's -spread-min flag.
 	SpreadMin int
 	// Deprecated: Seed is ignored, because the router draws no jitter.
 	// It stays while the benchmark, cmd/edabench, sets it and pins
@@ -126,8 +130,5 @@ func (c *Config) defaults() {
 	}
 	if c.DownAfter <= 0 {
 		c.DownAfter = 1
-	}
-	if c.SpreadMin <= 0 {
-		c.SpreadMin = 8
 	}
 }

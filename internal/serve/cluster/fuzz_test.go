@@ -11,7 +11,11 @@ package cluster
 // "." or "..", say). FuzzRouterLoad does the same
 // for PUT /models/{name}, the contract FuzzLoadHandler holds a single
 // node to, and adds that a body the front refuses reaches no replica.
-// The fuzz job runs both targets via scripts/fuzz.sh.
+// FuzzRouterReply turns to the other network input, the replica's
+// reply: whatever status and body the owners answer with, the router
+// answers 200 only with one prediction per row, puts an error body on
+// every other reply, and keeps every replica that answered in service.
+// The fuzz job runs all three targets via scripts/fuzz.sh.
 
 import (
 	"bytes"
@@ -32,8 +36,7 @@ import (
 )
 
 // fuzzRouter is one router over two fake replicas, both owning every
-// model, shared across fuzz executions in this process. SpreadMin 2
-// fans any multi-row body out across both.
+// model, shared across fuzz executions in this process.
 var (
 	fuzzRouterOnce sync.Once
 	fuzzRouter     *Router
@@ -50,7 +53,7 @@ func fuzzFleet(tb testing.TB) (*Router, []*fakeReplica) {
 			fuzzFakes[i] = &fakeReplica{}
 			bases[i] = httptest.NewServer(fuzzFakes[i].handler()).URL
 		}
-		fuzzRouter = NewRouter(Config{Replication: 2, SpreadMin: 2}, bases)
+		fuzzRouter = NewRouter(Config{Replication: 2}, bases)
 		if n := fuzzRouter.ProbeAll(context.Background()); n != len(bases) {
 			tb.Fatalf("probe: %d/%d healthy", n, len(bases))
 		}
@@ -209,6 +212,89 @@ func FuzzRouterLoad(f *testing.F) {
 			}
 		default:
 			t.Fatalf("unexpected status %d for body %q", rec.Code, body)
+		}
+	})
+}
+
+func FuzzRouterReply(f *testing.F) {
+	for _, seed := range []struct {
+		status int
+		body   string
+	}{
+		{http.StatusOK, `{"model": "m", "kind": "k", "predictions": [1, 2, 3]}`},
+		{http.StatusOK, `{"model": "m", "kind": "k", "predictions": [1, 2]}`},
+		{http.StatusOK, `{"model": "m", "kind": "k", "predictions": [1, 2, 3, 4]}`},
+		{http.StatusOK, `{"model": "m", "kind": "k", "predictions": [1, `},
+		{http.StatusOK, `not json`},
+		{http.StatusOK, `{"model": "m", "kind": "k", "predictions": null}`},
+		{http.StatusOK, `{"predictions": [1, 2, 3], "payload_sha256": "x", "extra": {"a": [1]}}`},
+		{http.StatusOK, ``},
+		{http.StatusNoContent, `{"predictions": [1, 2, 3]}`},
+		{http.StatusOK, `{"predictions": [1e999, 2, 3]}`},
+		{http.StatusServiceUnavailable, "\x00\xff<html>garbage"},
+		{http.StatusInternalServerError, `{"error": "boom"}`},
+		{http.StatusTooManyRequests, `{"error": "shed"}`},
+		{http.StatusNotFound, ``},
+	} {
+		f.Add(seed.status, []byte(seed.body))
+	}
+
+	rt, fakes := fuzzFleet(f)
+	h := rt.Handler()
+	panics := obs.GetCounter("cluster.panics_recovered")
+	const threeRows = `{"instances": [[0], [1], [2]]}`
+	f.Fuzz(func(t *testing.T, status int, body []byte) {
+		// Fold the status onto those a replica sends, 2xx or 400 to 599,
+		// leaving those as they are.
+		status %= 600
+		if status < 0 {
+			status += 600
+		}
+		switch {
+		case status < 200:
+			status += 400
+		case status >= 300 && status < 400:
+			status -= 100
+		}
+		reply := &fakeReply{status: status, body: body}
+		for _, fake := range fakes {
+			fake.reply.Store(reply)
+			defer fake.reply.Store(nil)
+		}
+		before := panics.Value()
+		rec := postPredict(h, "m", threeRows, "")
+		if panics.Value() != before {
+			t.Fatalf("handler panicked for reply %d %q: %s", status, body, rec.Body.String())
+		}
+		for _, rep := range rt.Replicas() {
+			if !rep.Healthy() {
+				t.Fatalf("reply %d %q took replica %d out of service", status, body, rep.Index)
+			}
+		}
+		switch {
+		case rec.Code == http.StatusOK:
+			var presp serve.PredictResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &presp); err != nil {
+				t.Fatalf("200 with unparseable response: %v", err)
+			}
+			if len(presp.Predictions) != 3 {
+				t.Fatalf("200 with %d predictions for 3 rows, from reply %d %q", len(presp.Predictions), status, body)
+			}
+		case rec.Code >= 400 && rec.Code <= 599:
+			var eb serve.ErrorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == "" {
+				t.Fatalf("status %d without an error body: %q", rec.Code, rec.Body.String())
+			}
+		default:
+			t.Fatalf("unexpected status %d for reply %d %q", rec.Code, status, body)
+		}
+		// A 4xx is the caller's and goes back as it is; anything else
+		// that is not a 2xx fails over, here to the same reply, so 502.
+		switch {
+		case status >= 400 && status < 500 && rec.Code != status:
+			t.Fatalf("replica's %d answered as %d", status, rec.Code)
+		case status >= 500 && rec.Code != http.StatusBadGateway:
+			t.Fatalf("replica's %d answered as %d, want 502", status, rec.Code)
 		}
 	})
 }

@@ -71,16 +71,17 @@ func (r *Replica) Probe(ctx context.Context) error {
 	return nil
 }
 
-// predict scores one chunk on this replica, with health bookkeeping.
-// A reply from the server — any status — proves the node is alive, so
-// only failures where it never answered (StatusCode 0: refused
-// connections, timeouts) count toward marking it down; a 429 or a 500
-// is an unhealthy answer, not an unreachable host. A 200 without one
-// prediction per row is a failed attempt too, from a replica that
-// answered: it counts as a failure and leaves the replica in service.
-func (r *Replica) predict(ctx context.Context, model string, instances [][]float64, priority string) (*serve.PredictResponse, error) {
+// predict sends one predict body of rows rows to this replica, with
+// health bookkeeping. A reply from the server (any status, or a 2xx
+// whose body does not decode) proves the node is alive, so only
+// failures where it never answered (StatusCode 0: refused connections,
+// timeouts) count toward marking it down; a 429, a 500 or a garbled
+// reply is an unhealthy answer, not an unreachable host. A 200 without
+// one prediction per row is a failed attempt too, from a replica that
+// answered. Every failed attempt counts in the replica's failures.
+func (r *Replica) predict(ctx context.Context, model string, body []byte, rows int, priority string) (*serve.PredictResponse, error) {
 	r.requests.Inc()
-	p, err := r.c.TryPredict(ctx, model, instances, priority)
+	p, err := r.c.TryPredict(ctx, model, body, priority)
 	if err != nil {
 		r.failures.Inc()
 		if client.StatusCode(err) == 0 {
@@ -91,11 +92,11 @@ func (r *Replica) predict(ctx context.Context, model string, instances [][]float
 		return nil, err
 	}
 	r.noteSuccess()
-	if len(p.Predictions) != len(instances) {
+	if len(p.Predictions) != rows {
 		r.failures.Inc()
-		return nil, fmt.Errorf("replica %d answered %d predictions for %d rows", r.Index, len(p.Predictions), len(instances))
+		return nil, fmt.Errorf("replica %d answered %d predictions for %d rows", r.Index, len(p.Predictions), rows)
 	}
-	r.instances.Add(int64(len(p.Predictions)))
+	r.instances.Add(int64(rows))
 	return p, nil
 }
 

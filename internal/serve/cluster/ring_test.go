@@ -78,34 +78,3 @@ func TestRingStability(t *testing.T) {
 		t.Errorf("adding a 5th replica moved %.1f%% of primaries, want ~20%%", 100*frac)
 	}
 }
-
-// TestSplitChunks: contiguity, ordering, near-equal sizes, and the
-// SpreadMin whole-batch floor.
-func TestSplitChunks(t *testing.T) {
-	rows := make([][]float64, 10)
-	for i := range rows {
-		rows[i] = []float64{float64(i)}
-	}
-	// Below SpreadMin: one chunk, untouched.
-	if got := splitChunks(rows[:3], 3, 8); len(got) != 1 || len(got[0]) != 3 {
-		t.Fatalf("small batch split: %d chunks", len(got))
-	}
-	// Fewer rows than replicas: one chunk.
-	if got := splitChunks(rows[:2], 3, 1); len(got) != 1 {
-		t.Fatalf("n<k split: %d chunks", len(got))
-	}
-	// 10 rows over 3 replicas: 4/3/3, in order.
-	got := splitChunks(rows, 3, 8)
-	if len(got) != 3 || len(got[0]) != 4 || len(got[1]) != 3 || len(got[2]) != 3 {
-		t.Fatalf("sizes: %d/%d/%d", len(got[0]), len(got[1]), len(got[2]))
-	}
-	i := 0
-	for _, chunk := range got {
-		for _, row := range chunk {
-			if row[0] != float64(i) {
-				t.Fatalf("row order broken at %d: %v", i, row)
-			}
-			i++
-		}
-	}
-}

@@ -21,7 +21,6 @@ import (
 var (
 	routedRequests  = obs.GetCounter("cluster.requests_routed")
 	routedInstances = obs.GetCounter("cluster.instances_routed")
-	fanouts         = obs.GetCounter("cluster.fanouts")
 	failovers       = obs.GetCounter("cluster.failovers")
 	partitions      = obs.GetCounter("cluster.partitions")
 	noHealthy       = obs.GetCounter("cluster.no_healthy_replica")
@@ -136,7 +135,7 @@ func (rt *Router) Close() {
 //	                       (the recorded health; nothing is probed)
 //	GET  /models           per-replica registry listing
 //	PUT  /models/{name}    blue/green rollout across the model's owners
-//	POST /predict/{model}  shard → fan out → merge
+//	POST /predict/{model}  the whole request to one healthy owner, in ring order
 func (rt *Router) Handler() http.Handler {
 	return rt.front.Handler(rt.handleReadyz, rt.handleModels, rt.handleLoad, rt.handlePredict)
 }
@@ -239,14 +238,6 @@ func (rt *Router) handleLoad(w http.ResponseWriter, r *http.Request, name string
 	serve.WriteJSON(w, status, map[string]any{"name": name, "loaded": loaded, "replicas": steps})
 }
 
-// chunkResult is one owner's share of a fanned-out batch.
-type chunkResult struct {
-	preds []float64
-	kind  string
-	code  int // HTTP status to propagate when err != nil and a replica answered
-	err   error
-}
-
 func (rt *Router) handlePredict(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	// Chaos coverage of the routing step itself: an injected error is a
 	// retryable 500 before any replica sees the request; an injected
@@ -303,103 +294,41 @@ func (rt *Router) handlePredict(ctx context.Context, w http.ResponseWriter, r *h
 		return
 	}
 
-	// Fan out: split the batch into one contiguous chunk per healthy
-	// owner (whole-batch to the primary when it is too small to be
-	// worth spreading), score chunks concurrently, merge in order.
-	chunks := splitChunks(in.Rows(), len(avail), rt.cfg.SpreadMin)
-	if len(chunks) > 1 {
-		fanouts.Inc()
-	}
-	pri := serve.PriorityOf(r)
-	results := make([]chunkResult, len(chunks))
-	var wg sync.WaitGroup
-	for i := range chunks {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = rt.routeChunk(ctx, name, chunks[i], pri, avail, i)
-		}(i)
-	}
-	wg.Wait()
-
-	kind := ""
-	preds := make([]float64, 0, in.Len())
-	for _, res := range results {
-		if res.err != nil {
-			rt.chunkError(w, res)
-			return
-		}
-		preds = append(preds, res.preds...)
-		kind = res.kind
-	}
-	routedRequests.Inc()
-	routedInstances.Add(int64(len(preds)))
-	serve.WriteJSON(w, http.StatusOK, serve.PredictResponse{Model: name, Kind: kind, Predictions: preds})
-}
-
-// routeChunk scores one chunk, starting at avail[start] and failing
-// over through the remaining healthy owners in order. Failover happens
-// only when the replica never answered (transport error), answered 5xx,
-// or answered 200 without one prediction per row; a 429 is propagated
-// immediately — a shed request must never be
-// silently retried into a different replica, that would convert
-// load-shedding into load-spreading — and any other 4xx is the
-// caller's bug on every replica alike. Only the unanswered attempts
-// count against a replica's health (Replica.predict).
-func (rt *Router) routeChunk(ctx context.Context, name string, chunk [][]float64, pri serve.Priority, avail []*Replica, start int) chunkResult {
+	// Route: the whole body, as read and checked above, to the first
+	// healthy owner in ring order, failing over through the rest, so
+	// every reply comes from one replica and so from one artifact.
+	// Failover happens only when the replica never answered (transport
+	// error), answered 5xx, or answered a 2xx that does not decode to
+	// one prediction per row. A 4xx goes back at once: a 429 must never
+	// be silently retried into a different replica, which would convert
+	// load-shedding into load-spreading, and any other 4xx is the
+	// caller's bug on every replica alike. Replica.predict keeps the
+	// health record.
+	pri := serve.PriorityOf(r).String()
 	var lastErr error
-	for attempt := 0; attempt < len(avail); attempt++ {
-		rep := avail[(start+attempt)%len(avail)]
-		if attempt > 0 {
+	for i, rep := range avail {
+		if i > 0 {
 			failovers.Inc()
 		}
-		p, err := rep.predict(ctx, name, chunk, pri.String())
+		p, err := rep.predict(ctx, name, body, in.Len(), pri)
 		if err == nil {
-			return chunkResult{preds: p.Predictions, kind: p.Kind}
+			routedRequests.Inc()
+			routedInstances.Add(int64(len(p.Predictions)))
+			serve.WriteJSON(w, http.StatusOK, serve.PredictResponse{Model: name, Kind: p.Kind, Predictions: p.Predictions})
+			return
 		}
-		lastErr = err
-		if code := client.StatusCode(err); code != 0 && code < 500 {
-			// The replica answered with a client-scoped status: propagate.
-			return chunkResult{code: code, err: err}
+		if code := client.StatusCode(err); code >= 400 && code < 500 {
+			if code == http.StatusTooManyRequests {
+				w.Header().Set("Retry-After", "1")
+			}
+			rt.front.Fail(w, code, err)
+			return
 		}
 		if ctx.Err() != nil {
-			return chunkResult{err: ctx.Err()}
+			rt.front.Deadline(w, ctx.Err())
+			return
 		}
+		lastErr = err
 	}
-	return chunkResult{err: fmt.Errorf("all %d healthy replicas failed: %w", len(avail), lastErr)}
-}
-
-// chunkError maps a failed chunk onto the response: deadline → 504,
-// replica-answered status (429, 4xx) → that status, everything else →
-// 502 (retryable by the caller).
-func (rt *Router) chunkError(w http.ResponseWriter, res chunkResult) {
-	status := http.StatusBadGateway
-	if res.code != 0 {
-		status = res.code
-		if status == http.StatusTooManyRequests {
-			w.Header().Set("Retry-After", "1")
-		}
-	}
-	rt.front.Fail(w, status, res.err)
-}
-
-// splitChunks partitions instances into at most k contiguous chunks of
-// near-equal size, in order. Batches smaller than spreadMin stay whole.
-func splitChunks(instances [][]float64, k, spreadMin int) [][][]float64 {
-	n := len(instances)
-	if k <= 1 || n < spreadMin || n < k {
-		return [][][]float64{instances}
-	}
-	chunks := make([][][]float64, 0, k)
-	base, extra := n/k, n%k
-	at := 0
-	for i := 0; i < k; i++ {
-		size := base
-		if i < extra {
-			size++
-		}
-		chunks = append(chunks, instances[at:at+size])
-		at += size
-	}
-	return chunks
+	rt.front.Fail(w, http.StatusBadGateway, fmt.Errorf("all %d healthy replicas failed: %w", len(avail), lastErr))
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,18 +29,24 @@ import (
 // every load, and answering predict with a scripted status while
 // recording what it saw. Its /readyz answers readyz (200 when zero).
 // While stalls is set, a predict for the model "stall" never answers:
-// it waits for the caller to give up. While short is set, a 200 carries
-// one prediction fewer than the request has rows.
+// it waits for the caller to give up. While reply is set, every other
+// predict is answered with exactly its status and body.
 type fakeReplica struct {
 	readyz   int
 	stalls   atomic.Bool
-	short    atomic.Bool
+	reply    atomic.Pointer[fakeReply]
 	status   atomic.Int64 // predict reply status; 0 or 200 serves real-looking predictions
 	hits     atomic.Int64
 	probes   atomic.Int64 // requests to /readyz
 	loads    atomic.Int64 // requests to /models/{name}
 	lastPrio atomic.Value // string: last X-Priority seen on predict
 	lastName atomic.Value // string: the model name of the last predict
+}
+
+// fakeReply is a scripted predict reply, sent as it stands.
+type fakeReply struct {
+	status int
+	body   []byte
 }
 
 func (f *fakeReplica) handler() http.Handler {
@@ -70,6 +77,11 @@ func (f *fakeReplica) handler() http.Handler {
 			<-r.Context().Done()
 			return
 		}
+		if rp := f.reply.Load(); rp != nil {
+			w.WriteHeader(rp.status)
+			w.Write(rp.body) //nolint:errcheck — test fake
+			return
+		}
 		if st := int(f.status.Load()); st != 0 && st != http.StatusOK {
 			w.WriteHeader(st)
 			fmt.Fprintf(w, `{"error":"scripted %d"}`, st)
@@ -85,9 +97,6 @@ func (f *fakeReplica) handler() http.Handler {
 			if len(row) > 0 {
 				preds[i] = row[0]
 			}
-		}
-		if f.short.Load() && len(preds) > 0 {
-			preds = preds[:len(preds)-1]
 		}
 		json.NewEncoder(w).Encode(serve.PredictResponse{ //nolint:errcheck — test fake
 			Model: "m", Kind: "fake", Predictions: preds,
@@ -253,8 +262,8 @@ func Test429NeverRerouted(t *testing.T) {
 	}
 }
 
-// TestFailoverOn5xx: a 500 from the primary fails the chunk over to the
-// next owner, and the caller sees a clean 200. A 500 is an answer, so
+// TestFailoverOn5xx: a 500 from the primary fails the request over to
+// the next owner, and the caller sees a clean 200. A 500 is an answer, so
 // the primary stays in service and serves again as soon as it answers
 // 200.
 func TestFailoverOn5xx(t *testing.T) {
@@ -298,15 +307,30 @@ func TestFailoverOn5xx(t *testing.T) {
 	}
 }
 
-// TestShortReplyFailsOver: a 200 with fewer predictions than the chunk
-// has rows is a failed attempt. The chunk fails over to the next owner,
-// the reply counts in the primary's failures, and the primary, which
-// answered, stays in service. When no owner answers one prediction per
-// row the caller gets 502, never a 200 with the wrong count.
+// TestShortReplyFailsOver: a 200 with fewer predictions than the
+// request has rows is a failed attempt (badReplyFailsOver).
 func TestShortReplyFailsOver(t *testing.T) {
+	badReplyFailsOver(t, `{"model": "m", "kind": "fake", "predictions": [0, 1]}`)
+}
+
+// TestUndecodableReplyFailsOver: so is a 200 whose body does not
+// decode. The replica answered, so it stays in service.
+func TestUndecodableReplyFailsOver(t *testing.T) {
+	badReplyFailsOver(t, "not json")
+}
+
+// badReplyFailsOver: a primary answering 200 with body to a 3-row
+// predict has failed the attempt. The request fails over to the next
+// owner, the reply counts in the primary's failures, and the primary,
+// which answered, stays in service. When no owner answers one
+// prediction per row the caller gets 502, never a 200 with the wrong
+// count.
+func badReplyFailsOver(t *testing.T, body string) {
+	t.Helper()
 	rt, fakes := fakeCluster(t, Config{Replication: 2}, http.StatusOK, http.StatusOK)
 	primary := rt.Owners("m")[0]
-	fakes[primary].short.Store(true)
+	bad := &fakeReply{status: http.StatusOK, body: []byte(body)}
+	fakes[primary].reply.Store(bad)
 	failures := obs.GetCounter(fmt.Sprintf("cluster.replica.%d.failures", primary))
 	before := failures.Value()
 	const threeRows = `{"instances": [[0],[1],[2]]}`
@@ -329,15 +353,15 @@ func TestShortReplyFailsOver(t *testing.T) {
 		t.Errorf("a replica that answered left the serving set")
 	}
 
-	fakes[1-primary].short.Store(true)
+	fakes[1-primary].reply.Store(bad)
 	if rec := postPredict(rt.Handler(), "m", threeRows, ""); rec.Code != http.StatusBadGateway {
-		t.Fatalf("status %d with every owner answering short, want 502: %s", rec.Code, rec.Body.String())
+		t.Fatalf("status %d with every owner answering %q, want 502: %s", rec.Code, body, rec.Body.String())
 	}
 }
 
 // TestAttemptTimeoutFailsOver: AttemptTimeout is the one bound on a
 // single attempt. A primary that stalls a predict is given up after it,
-// the chunk fails over to the second owner long before the request
+// the request fails over to the second owner long before the request
 // deadline, and the stalled replica, which never answered, leaves the
 // serving set.
 func TestAttemptTimeoutFailsOver(t *testing.T) {
@@ -482,32 +506,6 @@ func TestPredictValidation(t *testing.T) {
 		if got := deadlines.Value(); got != want {
 			t.Errorf("%s: cluster.deadline_exceeded = %d, want %d", tc.name, got, want)
 		}
-	}
-}
-
-// TestFanOutMergesAcrossReplicas: a batch over SpreadMin splits across
-// both owners and merges back in request order.
-func TestFanOutMergesAcrossReplicas(t *testing.T) {
-	rt, fakes := fakeCluster(t, Config{Replication: 2, SpreadMin: 2}, http.StatusOK, http.StatusOK)
-	body := `{"instances": [[0],[1],[2],[3]]}`
-	rec := postPredict(rt.Handler(), "m", body, "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	var resp struct {
-		Predictions []float64 `json:"predictions"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range resp.Predictions {
-		if p != float64(i) {
-			t.Fatalf("merged predictions out of order: %v", resp.Predictions)
-		}
-	}
-	if fakes[0].hits.Load() != 1 || fakes[1].hits.Load() != 1 {
-		t.Errorf("hits %d/%d, want 1/1 (fan-out across both owners)",
-			fakes[0].hits.Load(), fakes[1].hits.Load())
 	}
 }
 
@@ -671,18 +669,12 @@ func TestClusterLifecycle(t *testing.T) {
 	checkPredict := func(stage string) {
 		t.Helper()
 		body, _ := json.Marshal(map[string]any{"instances": [][]float64{probe}})
-		rec := postPredict(h, name, string(body), "")
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: predict status %d: %s", stage, rec.Code, rec.Body.String())
+		got, err := predictRows(h, name, string(body))
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
 		}
-		var resp struct {
-			Predictions []float64 `json:"predictions"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
-		if len(resp.Predictions) != 1 || resp.Predictions[0] != want {
-			t.Fatalf("%s: predicted %v, want [%v]", stage, resp.Predictions, want)
+		if len(got) != 1 || got[0] != want {
+			t.Fatalf("%s: predicted %v, want [%v]", stage, got, want)
 		}
 	}
 	checkPredict("healthy fleet")
@@ -719,10 +711,95 @@ func TestClusterLifecycle(t *testing.T) {
 	}
 }
 
+// sixteenRows is a 16-row predict body and its rows: a batch of the
+// size the loop's readers send.
+func sixteenRows() ([][]float64, string) {
+	rows := make([][]float64, 16)
+	for i := range rows {
+		rows[i] = []float64{0.25 * float64(i), 1.5 - 0.125*float64(i)}
+	}
+	body, _ := json.Marshal(serve.PredictRequest{Instances: rows})
+	return rows, string(body)
+}
+
+// scoreRows scores each row in process with the artifact.
+func scoreRows(t *testing.T, a *model.Artifact, rows [][]float64) []float64 {
+	t.Helper()
+	s, err := a.Scorer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, len(rows))
+	for i, row := range rows {
+		out[i] = s.ScoreRow(row)
+	}
+	return out
+}
+
+// distinctVersions returns v1's and v2's scores of rows, failing the
+// test unless the two differ on every row, so that a reply mixing them
+// shows.
+func distinctVersions(t *testing.T, v1, v2 *model.Artifact, rows [][]float64) ([]float64, []float64) {
+	t.Helper()
+	want1, want2 := scoreRows(t, v1, rows), scoreRows(t, v2, rows)
+	for i := range rows {
+		if want1[i] == want2[i] {
+			t.Fatalf("v1 and v2 both score row %d %v; the test cannot tell them apart", i, want1[i])
+		}
+	}
+	return want1, want2
+}
+
+// predictRows posts body through h and returns the predictions of a 200.
+func predictRows(h http.Handler, name, body string) ([]float64, error) {
+	rec := postPredict(h, name, body, "")
+	if rec.Code != http.StatusOK {
+		return nil, fmt.Errorf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	var resp serve.PredictResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		return nil, fmt.Errorf("reply %q: %v", rec.Body.String(), err)
+	}
+	return resp.Predictions, nil
+}
+
+// TestRoutedReplyOneArtifact: a routed reply comes from one artifact.
+// Halfway through a rollout v2 is on the primary owner and v1 still on
+// the other; a 16-row predict answers with v2's score on every row.
+func TestRoutedReplyOneArtifact(t *testing.T) {
+	lc, err := NewLocal(3, serve.Config{}, Config{Replication: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	const name = "one-artifact-ridge"
+	v1, _ := ridgeArtifact(t, name, 1e-3)
+	v2, _ := ridgeArtifact(t, name, 1)
+	if err := lc.LoadDirect(name, v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := lc.Servers[lc.Router.Owners(name)[0]].Load(name, v2); err != nil {
+		t.Fatal(err)
+	}
+	if n := lc.ProbeAll(context.Background()); n != 2 {
+		t.Fatalf("probe: %d healthy, want the 2 owners", n)
+	}
+	rows, body := sixteenRows()
+	_, want2 := distinctVersions(t, v1, v2, rows)
+	got, err := predictRows(lc.Router.Handler(), name, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want2) {
+		t.Fatalf("predicted %v, want v2's %v", got, want2)
+	}
+}
+
 // TestClusterRolloutZeroDrops: a blue/green rollout through the router
 // under live predict traffic drops nothing. While PUT /models/{name}
-// walks the owners, every answer is a 200 bit-identical to v1 or to v2;
-// once the rollout returns, every answer is v2's.
+// walks the owners, every answer to a 16-row predict is a 200
+// bit-identical to v1's scores or to v2's, never a mix; once the
+// rollout returns, every answer is v2's.
 func TestClusterRolloutZeroDrops(t *testing.T) {
 	lc, err := NewLocal(3, serve.Config{}, Config{Replication: 2})
 	if err != nil {
@@ -739,31 +816,9 @@ func TestClusterRolloutZeroDrops(t *testing.T) {
 	if n := lc.ProbeAll(context.Background()); n != 2 {
 		t.Fatalf("probe: %d healthy, want the 2 owners", n)
 	}
-	probe := []float64{0.5, 1.5}
-	score := func(a *model.Artifact) float64 {
-		s, err := a.Scorer()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s.ScoreRow(probe)
-	}
-	want1, want2 := score(v1), score(v2)
-	if want1 == want2 {
-		t.Fatalf("v1 and v2 both score the probe %v; the test cannot tell them apart", want1)
-	}
-	body, _ := json.Marshal(serve.PredictRequest{Instances: [][]float64{probe}})
+	rows, body := sixteenRows()
+	want1, want2 := distinctVersions(t, v1, v2, rows)
 	h := lc.Router.Handler()
-	predict := func() (float64, error) {
-		rec := postPredict(h, name, string(body), "")
-		if rec.Code != http.StatusOK {
-			return 0, fmt.Errorf("status %d: %s", rec.Code, rec.Body.String())
-		}
-		var resp serve.PredictResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Predictions) != 1 {
-			return 0, fmt.Errorf("reply %q: %v", rec.Body.String(), err)
-		}
-		return resp.Predictions[0], nil
-	}
 
 	stop := make(chan struct{})
 	started := make(chan struct{})
@@ -780,13 +835,13 @@ func TestClusterRolloutZeroDrops(t *testing.T) {
 					return
 				default:
 				}
-				p, err := predict()
+				got, err := predictRows(h, name, body)
 				if err != nil {
 					t.Errorf("during rollout: %v", err)
 					return
 				}
-				if p != want1 && p != want2 {
-					t.Errorf("during rollout: predicted %v, want v1's %v or v2's %v", p, want1, want2)
+				if !slices.Equal(got, want1) && !slices.Equal(got, want2) {
+					t.Errorf("during rollout: predicted %v, want v1's %v or v2's %v", got, want1, want2)
 					return
 				}
 				startOnce.Do(func() { close(started) })
@@ -802,12 +857,12 @@ func TestClusterRolloutZeroDrops(t *testing.T) {
 		t.Fatalf("rollout: status %d: %s", rec.Code, rec.Body.String())
 	}
 	for i := 0; i < 20; i++ {
-		p, err := predict()
+		got, err := predictRows(h, name, body)
 		if err != nil {
 			t.Fatalf("after rollout: %v", err)
 		}
-		if p != want2 {
-			t.Fatalf("after rollout: predicted %v, want v2's %v", p, want2)
+		if !slices.Equal(got, want2) {
+			t.Fatalf("after rollout: predicted %v, want v2's %v", got, want2)
 		}
 	}
 }

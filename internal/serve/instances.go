@@ -32,15 +32,6 @@ func (in Instances) Row(i int) []float64 {
 	return in.values[in.off[i]:in.off[i+1]:in.off[i+1]]
 }
 
-// Rows returns a view of every row.
-func (in Instances) Rows() [][]float64 {
-	rows := make([][]float64, in.Len())
-	for i := range rows {
-		rows[i] = in.Row(i)
-	}
-	return rows
-}
-
 // UnmarshalJSON parses the "instances" value: null, which means no
 // rows, or an array of arrays of numbers. Each call replaces what an
 // earlier one decoded, so under a repeated key the last one wins. A null

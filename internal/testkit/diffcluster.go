@@ -17,12 +17,12 @@ import (
 // DiffPathsCluster is the cluster lane of the differential driver: the
 // same fitted model, scored through a real 3-node cluster (three
 // serve.Servers on loopback behind one Router), must be bit-identical
-// to single-node per-row scoring. Replication 3 puts every replica in
-// the owner set and SpreadMin 2 forces even small probe batches to fan
-// out, so the merged response genuinely crosses nodes. Both the
-// whole-batch route (split across replicas, merged in order) and the
-// per-row route (each row a separate request, possibly landing on
-// different replicas) are checked against the per-row reference.
+// to single-node per-row scoring. Every part runs as shipped: the
+// replicas at edaserved's flag defaults (ShippedServeConfig, score memo
+// included) and the router at edarouter's (the zero cluster.Config).
+// The whole batch goes through the router twice, so the second pass is
+// answered from the owner's memo, as in diffViaHTTP; then each row goes
+// as a request of its own.
 //
 // Like the HTTP lane in DiffPaths, only all-finite probe rows with
 // finite reference scores ride this path — JSON cannot carry ±Inf/NaN
@@ -50,10 +50,7 @@ func DiffPathsCluster(m any, probes *linalg.Matrix) error {
 	}
 
 	const name = "diff"
-	lc, err := cluster.NewLocal(3, serve.Config{MaxBatch: 8}, cluster.Config{
-		Replication: 3,
-		SpreadMin:   2,
-	})
+	lc, err := cluster.NewLocal(3, ShippedServeConfig, cluster.Config{})
 	if err != nil {
 		return fmt.Errorf("boot cluster: %w", err)
 	}
@@ -62,24 +59,22 @@ func DiffPathsCluster(m any, probes *linalg.Matrix) error {
 	if err := lc.LoadDirect(name, art); err != nil {
 		return fmt.Errorf("load: %w", err)
 	}
-	if n := lc.ProbeAll(context.Background()); n != 3 {
-		return fmt.Errorf("probe: %d/3 replicas healthy", n)
+	if n, owners := lc.ProbeAll(context.Background()), len(lc.Router.Owners(name)); n != owners {
+		return fmt.Errorf("probe: %d replicas healthy, want the %d owners", n, owners)
 	}
 
-	// Whole batch through the router: split across all three replicas
-	// (SpreadMin 2 guarantees fan-out for any probe set of ≥2 rows),
-	// merged back in request order.
-	got, err := clusterPredict(lc.Router.Handler(), name, matrixRows(sub))
-	if err != nil {
-		return fmt.Errorf("cluster batch path: %w", err)
-	}
-	if err := Exact.Compare(want, got); err != nil {
-		return fmt.Errorf("cluster batch path: %w", err)
+	for pass := 1; pass <= 2; pass++ {
+		got, err := clusterPredict(lc.Router.Handler(), name, matrixRows(sub))
+		if err != nil {
+			return fmt.Errorf("cluster batch path, pass %d: %w", pass, err)
+		}
+		if err := Exact.Compare(want, got); err != nil {
+			return fmt.Errorf("cluster batch path, pass %d: %w", pass, err)
+		}
 	}
 
-	// Row at a time: each request is its own routing decision, so rows
-	// land wherever their owner set's health points — still the same
-	// bits.
+	// Row at a time: each row is its own routing decision — still the
+	// same bits.
 	for i := 0; i < sub.Rows; i++ {
 		got, err := clusterPredict(lc.Router.Handler(), name, [][]float64{sub.Row(i)})
 		if err != nil {

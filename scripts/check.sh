@@ -52,7 +52,7 @@ sweep() {
 }
 
 # The cluster chaos storm is the most concurrency-dense path in the
-# repo (router fan-out goroutines, per-replica health, node kill);
+# repo (router failover, per-replica health, node kill);
 # its determinism contract must hold at every worker-pool width, so
 # sweep the widths that shift scoring onto different parallel paths.
 # The single-node chaos test sweeps them too: the client makes one
@@ -66,7 +66,7 @@ sweep . 'TestChaosEndToEnd|TestClusterChaosStorm'
 # on one node or in a rollout through the router.
 echo "== hot-swap race at 1/2/8 workers (race) =="
 sweep ./internal/serve/ 'TestHotSwapRace'
-sweep ./internal/serve/cluster/ 'TestClusterRolloutZeroDrops'
+sweep ./internal/serve/cluster/ 'TestClusterRolloutZeroDrops|TestRoutedReplyOneArtifact'
 
 # Batches form from whatever is queued, so their composition follows
 # arrival timing; answers must stay bit-identical at every pool width,

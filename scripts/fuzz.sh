@@ -4,8 +4,10 @@
 # against encoding/json (internal/serve.FuzzDecodePredict), the predict
 # and load handlers of a single node (internal/serve.FuzzPredictHandler,
 # FuzzLoadHandler) and of the cluster router
-# (internal/serve/cluster.FuzzRouterPredict, FuzzRouterLoad), and
-# benchmark-dataset artifact decoding
+# (internal/serve/cluster.FuzzRouterPredict, FuzzRouterLoad), the
+# router's handling of a replica's predict reply
+# (internal/serve/cluster.FuzzRouterReply), and benchmark-dataset
+# artifact decoding
 # (internal/datasets.FuzzDatasetDecode). Each
 # target runs for FUZZTIME (default 30s) from its committed seed corpus;
 # any crasher Go writes to testdata/fuzz/ fails the run and should be
@@ -29,6 +31,7 @@ targets=(
 	"repro/internal/serve FuzzLoadHandler"
 	"repro/internal/serve/cluster FuzzRouterPredict"
 	"repro/internal/serve/cluster FuzzRouterLoad"
+	"repro/internal/serve/cluster FuzzRouterReply"
 	"repro/internal/datasets FuzzDatasetDecode"
 )
 

@@ -173,7 +173,7 @@ for name in ('serve.batches', 'serve.instances_scored', 'serve.throttled_429',
              'serve.kernel_row_cache_hits', 'serve.kernel_row_cache_misses',
              'cluster.requests_routed', 'cluster.throttled_429',
              'cluster.shed.low', 'cluster.shed.normal', 'cluster.shed.high',
-             'cluster.fanouts', 'cluster.failovers'):
+             'cluster.failovers'):
     if name in m:
         print(f'  {name}: {m[name].get(\"value\", 0)}')"
 
