@@ -1,9 +1,9 @@
 package repro_test
 
-// Allocation-regression gate (ISSUE 9). Every steady-state numeric hot
-// path — the sliding-window Gram append, every model kind's
-// destination-passing batch scorer, and the single-row kernel
-// expansion the stream scores each candidate with — must run
+// Allocation-regression gate. Every steady-state numeric hot path —
+// the sliding-window Gram append and the read that fills it, every
+// model kind's destination-passing batch scorer, and the single-row
+// kernel expansion the stream scores each candidate with — must run
 // allocation-free once its columnar arena is warm. The shipped serve
 // path (a predict request through edaserved's handler) is floored at
 // its measured count, to be cut. The floors live in
@@ -267,7 +267,9 @@ func TestAllocFloor(t *testing.T) {
 		name string
 		fn   func()
 	}{
-		{"sliding_gram_append", func() { sg.Append(appendRow) }},
+		// An append stores the row; the read after it fills the row's
+		// kernel values, so the path times both.
+		{"sliding_gram_append", func() { sg.Append(appendRow); sg.Col(0) }},
 		{"cross_gram_into", func() {
 			g := colmat.Get(probes.Rows, oc.SV.Rows)
 			kernel.CrossGramInto(k, probes, oc.SV, g)

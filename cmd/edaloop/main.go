@@ -1,11 +1,12 @@
 // Command edaloop runs the online knowledge-discovery loop (see
 // internal/stream): generate candidates, score their novelty against
 // the live one-class model, simulate only the selected few, retrain
-// incrementally on a sliding window (warm-started SMO over a rank-1
-// Gram update), and hot-swap each refreshed model atomically into the
-// embedded serving registry — and, optionally, push it to a remote
-// edaserved. A Page–Hinkley detector on the decision stream triggers
-// refreshes when the candidate distribution drifts.
+// incrementally on a sliding window (warm-started SMO over a Gram
+// matrix whose new rows fill as one block per refresh), and hot-swap
+// each refreshed model atomically into the embedded serving registry —
+// and, optionally, push it to a remote edaserved. A Page–Hinkley
+// detector on the decision stream triggers refreshes when the candidate
+// distribution drifts.
 //
 // Usage:
 //

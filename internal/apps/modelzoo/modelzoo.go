@@ -332,7 +332,7 @@ func Run(cfg Config) (*Result, error) {
 				return nil, err
 			}
 		}
-		rep.Checksum = art.Envelope.Checksum
+		rep.Checksum = art.Checksum()
 		data, merr := art.Marshal()
 		if merr != nil {
 			return nil, merr

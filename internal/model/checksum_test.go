@@ -17,12 +17,13 @@ func TestEncodeChecksumIsCompactHash(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", name, err)
 		}
+		got := a.Checksum()
 		want, err := checksum(a.Envelope.Payload)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if a.Envelope.Checksum != want {
-			t.Fatalf("%s: Encode's checksum %s, checksum(payload) %s", name, a.Envelope.Checksum, want)
+		if got != want {
+			t.Fatalf("%s: Encode's checksum %s, checksum(payload) %s", name, got, want)
 		}
 		return a
 	}
@@ -31,8 +32,8 @@ func TestEncodeChecksumIsCompactHash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a := check(string(kind), golden.Model); a.Envelope.Checksum != golden.Envelope.Checksum {
-			t.Fatalf("%s: re-encoded checksum %s, golden %s", kind, a.Envelope.Checksum, golden.Envelope.Checksum)
+		if a := check(string(kind), golden.Model); a.Checksum() != golden.Checksum() {
+			t.Fatalf("%s: re-encoded checksum %s, golden %s", kind, a.Checksum(), golden.Checksum())
 		}
 	}
 	for kind, m := range compileFixtures(t) {

@@ -211,48 +211,43 @@ func (n *treeNodeJSON) build() *tree.Node {
 	}
 }
 
-// encodePayload dispatches on the fitted model type.
-func encodePayload(m any) (kind Kind, features int, kspec *KernelSpec, payload []byte, err error) {
-	marshal := func(v any) []byte {
-		payload, err = marshalPayload(v)
-		if err != nil {
-			err = fmt.Errorf("model: marshal payload: %w", err)
-		}
-		return payload
-	}
+// encodePayload dispatches on the fitted model type and returns its
+// kind-specific payload struct, which aliases the model's slices; the
+// artifact formats it on first use.
+func encodePayload(m any) (kind Kind, features int, kspec *KernelSpec, payload any, err error) {
 	switch mm := m.(type) {
 	case *svm.SVC:
 		kspec, err = SpecOf(mm.K)
 		if err != nil {
 			return "", 0, nil, nil, err
 		}
-		return KindSVC, mm.SV.Cols, kspec, marshal(svcPayload{
+		return KindSVC, mm.SV.Cols, kspec, svcPayload{
 			SV: matrixOut(mm.SV), Alpha: mm.Alpha, B: mm.B, Classes: mm.Classes(),
-		}), err
+		}, nil
 	case *svm.OneClass:
 		kspec, err = SpecOf(mm.K)
 		if err != nil {
 			return "", 0, nil, nil, err
 		}
-		return KindOneClass, mm.SV.Cols, kspec, marshal(oneClassPayload{
+		return KindOneClass, mm.SV.Cols, kspec, oneClassPayload{
 			SV: matrixOut(mm.SV), Alpha: mm.Alpha, Rho: mm.Rho, Nu: mm.Nu,
-		}), err
+		}, nil
 	case *linear.Regression:
-		return KindRidge, len(mm.W), nil, marshal(ridgePayload{W: mm.W, B: mm.B}), err
+		return KindRidge, len(mm.W), nil, ridgePayload{W: mm.W, B: mm.B}, nil
 	case *gp.Regressor:
 		kspec, err = SpecOf(mm.K)
 		if err != nil {
 			return "", 0, nil, nil, err
 		}
-		return KindGP, mm.X.Cols, kspec, marshal(gpPayload{
+		return KindGP, mm.X.Cols, kspec, gpPayload{
 			X: matrixOut(mm.X), Alpha: mm.Alpha(), Chol: matrixOut(mm.Chol()),
 			Mean: mm.Mean(), Noise: mm.Noise(),
-		}), err
+		}, nil
 	case *tree.Tree:
-		return KindTree, treeFeatures(mm.Root), nil, marshal(treePayload{
+		return KindTree, treeFeatures(mm.Root), nil, treePayload{
 			MaxDepth: mm.Config.MaxDepth, MinLeaf: mm.Config.MinLeaf,
 			Regression: mm.Config.Regression, Root: treeNodeOut(mm.Root),
-		}), err
+		}, nil
 	case *ApproxModel:
 		switch mm.SourceKind {
 		case KindSVC, KindOneClass, KindGP:
@@ -275,7 +270,7 @@ func encodePayload(m any) (kind Kind, features int, kspec *KernelSpec, payload [
 			cls := mm.Classes
 			p.Classes = &cls
 		}
-		return mm.SourceKind, mm.Lin.Map.InputDim(), mm.Kernel, marshal(p), err
+		return mm.SourceKind, mm.Lin.Map.InputDim(), mm.Kernel, p, nil
 	case *rules.RuleSet:
 		out := ruleSetPayload{Target: mm.Target, Default: mm.Default}
 		maxFeat := -1
@@ -291,7 +286,7 @@ func encodePayload(m any) (kind Kind, features int, kspec *KernelSpec, payload [
 			}
 			out.Rules = append(out.Rules, rj)
 		}
-		return KindRuleSet, maxFeat + 1, nil, marshal(out), err
+		return KindRuleSet, maxFeat + 1, nil, out, nil
 	default:
 		return "", 0, nil, nil, fmt.Errorf("%w: cannot persist %T", ErrKind, m)
 	}

@@ -28,6 +28,12 @@
 //     metadata produces byte-identical files — no timestamps, no map
 //     iteration — so artifacts can be content-addressed and diffed,
 //     and the committed v1 golden files stay stable forever.
+//  4. Bytes on first use. Encode refuses what it cannot persist when it
+//     is called, but formats and hashes the payload only when the
+//     artifact's bytes or checksum are first asked for (Marshal,
+//     Checksum), once per artifact. An artifact that is only served in
+//     process, as every refreshed model of the streaming loop is, never
+//     pays for them.
 package model
 
 import (
@@ -40,6 +46,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
+	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -92,6 +100,11 @@ const MaxArtifactBytes = 64 << 20
 // Envelope is the stable outer layer of an artifact. Everything a
 // loader must validate or a registry wants to display lives here; the
 // kind-specific parameters live in Payload.
+//
+// Payload and Checksum are built on first use. A decoded artifact holds
+// the bytes Decode verified; an encoded one formats and hashes them on
+// its first Marshal or Checksum call, so read the checksum through
+// Artifact.Checksum.
 type Envelope struct {
 	SchemaVersion int             `json:"schema_version"`
 	Kind          Kind            `json:"kind"`
@@ -102,8 +115,8 @@ type Envelope struct {
 	Seed          int64           `json:"seed"`
 	ManifestRef   string          `json:"manifest_ref,omitempty"`
 	Revision      string          `json:"revision,omitempty"`
-	Checksum      string          `json:"payload_sha256"`
-	Payload       json.RawMessage `json:"payload"`
+	Checksum      string          `json:"payload_sha256"` // hex SHA-256 of the compact payload; built on first use
+	Payload       json.RawMessage `json:"payload"`        // built on first use
 }
 
 // Meta is the caller-supplied provenance stored in the envelope.
@@ -114,9 +127,45 @@ type Meta struct {
 }
 
 // Artifact is a loaded (or about-to-be-saved) model plus its envelope.
+// An encoded artifact builds its payload bytes and checksum on first
+// use, once; its model must not change after Encode, because the
+// payload reads the model's values when it is built.
 type Artifact struct {
 	Envelope Envelope
 	Model    any // *svm.SVC, *svm.OneClass, *linear.Regression, *gp.Regressor, *tree.Tree, or *rules.RuleSet
+
+	// payload is the payload struct Encode built, until formatted holds
+	// its bytes in the envelope; nil on a decoded artifact.
+	payload   any
+	formatted sync.Once
+}
+
+// format builds an encoded artifact's payload bytes and checksum into
+// its envelope, once. Encode refused every value the payload encoder
+// refuses, so an error here means the model changed after Encode.
+func (a *Artifact) format() {
+	a.formatted.Do(func() {
+		if a.payload == nil {
+			return
+		}
+		b, err := marshalPayload(a.payload)
+		if err != nil {
+			panic(fmt.Sprintf("model: %s payload no longer encodes: %v", a.Envelope.Kind, err))
+		}
+		// marshalPayload writes compact JSON, as json.Marshal does, so
+		// the payload needs no json.Compact before it is hashed: its
+		// hash is checksum(payload).
+		a.Envelope.Payload, a.Envelope.Checksum = b, sha256Hex(b)
+		a.payload = nil
+	})
+}
+
+// Checksum returns the envelope's payload_sha256, building an encoded
+// artifact's payload first if nothing has yet. Safe to call
+// concurrently with itself and with Marshal.
+func (a *Artifact) Checksum() string {
+	a.format()
+	return a.Envelope.Checksum
 }
 
 // checksum returns the hex SHA-256 of the payload in compact JSON form.
@@ -138,16 +187,17 @@ func sha256Hex(b []byte) string {
 
 // Encode wraps a fitted model in a schema-v1 envelope. The model must
 // be one of the supported kinds; kernel models must use a persistable
-// kernel (see KernelSpec).
+// kernel (see KernelSpec); and every float of its payload must be
+// finite, as JSON requires. Encode refuses anything else at once, but
+// leaves the payload bytes and checksum to the artifact's first use.
 func Encode(m any, meta Meta) (*Artifact, error) {
 	kind, features, kspec, payload, err := encodePayload(m)
 	if err != nil {
 		return nil, err
 	}
-	// marshalPayload writes compact JSON, as json.Marshal does, so the
-	// payload needs no json.Compact before it is hashed: its hash is
-	// checksum(payload).
-	sum := sha256Hex(payload)
+	if err := checkFinite(reflect.ValueOf(payload)); err != nil {
+		return nil, fmt.Errorf("model: marshal payload: %w", err)
+	}
 	rev, _ := obs.BuildRevision()
 	var aspec *ApproxSpec
 	if am, ok := m.(*ApproxModel); ok {
@@ -165,17 +215,18 @@ func Encode(m any, meta Meta) (*Artifact, error) {
 			Seed:          meta.Seed,
 			ManifestRef:   meta.ManifestRef,
 			Revision:      rev,
-			Checksum:      sum,
-			Payload:       payload,
 		},
-		Model: m,
+		Model:   m,
+		payload: payload,
 	}, nil
 }
 
-// Marshal renders the artifact as indented JSON. The bytes are a
+// Marshal renders the artifact as indented JSON, building an encoded
+// artifact's payload first if nothing has yet. The bytes are a
 // deterministic function of the model and metadata (plus the build
 // revision), so identical saves are byte-identical.
 func (a *Artifact) Marshal() ([]byte, error) {
+	a.format()
 	data, err := json.MarshalIndent(&a.Envelope, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("model: marshal envelope: %w", err)

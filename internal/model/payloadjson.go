@@ -18,8 +18,9 @@ import (
 // as long as the traffic happens to keep cycling it, a time that
 // differs from run to run. marshalPayload keeps its scratch in a pool
 // of its own that only payload encoding uses, so a process that
-// re-encodes models (stream.Run, each refresh) reuses one buffer, and a
-// process that stops encoding lets it go within two GC cycles.
+// re-encodes models (edaloop writing or pushing each refresh) reuses
+// one buffer, and a process that stops encoding lets it go within two
+// GC cycles.
 //
 // It covers what the payload structs use: structs of tagged exported
 // fields (with omitempty), pointers, slices, arrays, float64, int, bool
@@ -148,6 +149,54 @@ func isEmptyJSON(v reflect.Value) bool {
 	return false
 }
 
+// checkFinite returns appendJSON's error for the first NaN or ±Inf in
+// v, the floats of the payload structs, without formatting anything, so
+// Encode refuses a payload JSON cannot carry before its bytes are built.
+func checkFinite(v reflect.Value) error {
+	switch v.Kind() {
+	case reflect.Float64:
+		if f := v.Float(); math.IsInf(f, 0) || math.IsNaN(f) {
+			return unsupportedFloat(v)
+		}
+	case reflect.Pointer:
+		if !v.IsNil() {
+			return checkFinite(v.Elem())
+		}
+	case reflect.Slice:
+		if fs, ok := v.Interface().([]float64); ok {
+			// The bulk of a payload: matrix data and weight vectors.
+			for i, f := range fs {
+				if math.IsInf(f, 0) || math.IsNaN(f) {
+					return unsupportedFloat(v.Index(i))
+				}
+			}
+			return nil
+		}
+		fallthrough
+	case reflect.Array:
+		for i := range v.Len() {
+			if err := checkFinite(v.Index(i)); err != nil {
+				return err
+			}
+		}
+	case reflect.Struct:
+		t := v.Type()
+		for i := range t.NumField() {
+			if f := t.Field(i); f.IsExported() && f.Tag.Get("json") != "-" {
+				if err := checkFinite(v.Field(i)); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// unsupportedFloat is json.Marshal's error for a NaN or ±Inf float.
+func unsupportedFloat(v reflect.Value) error {
+	return &json.UnsupportedValueError{Value: v, Str: strconv.FormatFloat(v.Float(), 'g', -1, 64)}
+}
+
 // appendFloat writes a float64 as encoding/json does: the shortest
 // representation that round-trips, in 'f' format unless the magnitude
 // is below 1e-6 or at least 1e21, with a one-digit negative exponent
@@ -155,7 +204,7 @@ func isEmptyJSON(v reflect.Value) bool {
 func appendFloat(b []byte, v reflect.Value) ([]byte, error) {
 	f := v.Float()
 	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return nil, &json.UnsupportedValueError{Value: v, Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		return nil, unsupportedFloat(v)
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {

@@ -177,8 +177,8 @@ func TestGoldenPayloadsReencode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", p, err)
 		}
-		if again.Envelope.Checksum != art.Envelope.Checksum {
-			t.Errorf("%s: re-encoded checksum %s, file %s", p, again.Envelope.Checksum, art.Envelope.Checksum)
+		if again.Checksum() != art.Checksum() {
+			t.Errorf("%s: re-encoded checksum %s, file %s", p, again.Checksum(), art.Checksum())
 		}
 		n++
 	}
@@ -188,7 +188,7 @@ func TestGoldenPayloadsReencode(t *testing.T) {
 }
 
 // BenchmarkMarshalPayload encodes a one-class payload of 1024 support
-// vectors in 12 dimensions, the size stream.Run encodes each refresh,
+// vectors in 12 dimensions, the size of loop-isa's refreshed models,
 // with json.Marshal and with marshalPayload.
 func BenchmarkMarshalPayload(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))

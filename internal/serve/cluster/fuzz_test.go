@@ -15,7 +15,9 @@ package cluster
 // reply: whatever status and body the owners answer with, the router
 // answers 200 only with one prediction per row, puts an error body on
 // every other reply, and keeps every replica that answered in service.
-// The fuzz job runs all three targets via scripts/fuzz.sh.
+// The three share one router, so each execution first probes both
+// replicas back into service: an input is blamed only for what it does
+// itself. The fuzz job runs all three targets via scripts/fuzz.sh.
 
 import (
 	"bytes"
@@ -43,7 +45,7 @@ var (
 	fuzzFakes      []*fakeReplica
 )
 
-func fuzzFleet(tb testing.TB) (*Router, []*fakeReplica) {
+func fuzzFleet() (*Router, []*fakeReplica) {
 	fuzzRouterOnce.Do(func() {
 		fuzzFakes = make([]*fakeReplica, 2)
 		bases := make([]string, len(fuzzFakes))
@@ -54,11 +56,18 @@ func fuzzFleet(tb testing.TB) (*Router, []*fakeReplica) {
 			bases[i] = httptest.NewServer(fuzzFakes[i].handler()).URL
 		}
 		fuzzRouter = NewRouter(Config{Replication: 2}, bases)
-		if n := fuzzRouter.ProbeAll(context.Background()); n != len(bases) {
-			tb.Fatalf("probe: %d/%d healthy", n, len(bases))
-		}
 	})
 	return fuzzRouter, fuzzFakes
+}
+
+// readmit probes the shared fleet back into service at the start of an
+// execution, so a replica an earlier input took out is not blamed on
+// this one.
+func readmit(t *testing.T, rt *Router) {
+	t.Helper()
+	if n := rt.ProbeAll(context.Background()); n != len(rt.Replicas()) {
+		t.Fatalf("probe: %d/%d replicas back in service", n, len(rt.Replicas()))
+	}
 }
 
 // cleaned reports whether http.ServeMux rewrites the request path p
@@ -98,10 +107,11 @@ func FuzzRouterPredict(f *testing.F) {
 		f.Add(name, []byte(`{"instances": [[1, 2], [3, 4]]}`))
 	}
 
-	rt, fakes := fuzzFleet(f)
+	rt, fakes := fuzzFleet()
 	h := rt.Handler()
 	panics := obs.GetCounter("cluster.panics_recovered")
 	f.Fuzz(func(t *testing.T, name string, body []byte) {
+		readmit(t, rt)
 		before := panics.Value()
 		hits := []int64{fakes[0].hits.Load(), fakes[1].hits.Load()}
 		target := "/predict/" + url.PathEscape(name)
@@ -179,11 +189,12 @@ func FuzzRouterLoad(f *testing.F) {
 	f.Add([]byte(`{"path": "/dev/zero"}`))
 	f.Add([]byte(``))
 
-	rt, fakes := fuzzFleet(f)
+	rt, fakes := fuzzFleet()
 	h := rt.Handler()
 	panics := obs.GetCounter("cluster.panics_recovered")
 	loads := func() int64 { return fakes[0].loads.Load() + fakes[1].loads.Load() }
 	f.Fuzz(func(t *testing.T, body []byte) {
+		readmit(t, rt)
 		before, loadsBefore := panics.Value(), loads()
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/models/m", bytes.NewReader(body)))
@@ -239,11 +250,12 @@ func FuzzRouterReply(f *testing.F) {
 		f.Add(seed.status, []byte(seed.body))
 	}
 
-	rt, fakes := fuzzFleet(f)
+	rt, fakes := fuzzFleet()
 	h := rt.Handler()
 	panics := obs.GetCounter("cluster.panics_recovered")
 	const threeRows = `{"instances": [[0], [1], [2]]}`
 	f.Fuzz(func(t *testing.T, status int, body []byte) {
+		readmit(t, rt)
 		// Fold the status onto those a replica sends, 2xx or 400 to 599,
 		// leaving those as they are.
 		status %= 600

@@ -334,7 +334,7 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
 	infos := make([]ModelInfo, 0, len(s.models))
 	for name, sm := range s.models {
-		infos = append(infos, modelInfo(name, &sm.artifact.Envelope))
+		infos = append(infos, modelInfo(name, sm.artifact))
 	}
 	s.mu.RUnlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
@@ -346,13 +346,17 @@ func (s *Server) handleLoad(w http.ResponseWriter, _ *http.Request, name string,
 		Error(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	WriteJSON(w, http.StatusOK, modelInfo(name, &a.Envelope))
+	WriteJSON(w, http.StatusOK, modelInfo(name, a))
 }
 
-func modelInfo(name string, env *model.Envelope) ModelInfo {
+// modelInfo describes a registered artifact. Its checksum comes from the
+// accessor, which builds the payload of an artifact loaded in process
+// the first time anyone asks.
+func modelInfo(name string, a *model.Artifact) ModelInfo {
+	env := &a.Envelope
 	return ModelInfo{
 		Name: name, Kind: string(env.Kind), Features: env.Features,
-		Seed: env.Seed, Revision: env.Revision, Checksum: env.Checksum,
+		Seed: env.Seed, Revision: env.Revision, Checksum: a.Checksum(),
 	}
 }
 

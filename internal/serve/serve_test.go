@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,6 +19,7 @@ import (
 
 	"repro/internal/apps/modelzoo"
 	"repro/internal/linalg"
+	"repro/internal/linear"
 	"repro/internal/model"
 )
 
@@ -404,6 +407,91 @@ func TestHotLoad(t *testing.T) {
 	s.StartDraining()
 	if got := put(http.MethodPut, "/models/hot", data); got != http.StatusServiceUnavailable {
 		t.Fatalf("PUT while draining: status %d, want 503", got)
+	}
+}
+
+// TestModelsChecksumOnFirstUse: an artifact loaded in process has no
+// payload bytes until something asks for them. Concurrent GET /models
+// calls and Marshal calls on a never-marshalled artifact all see one
+// checksum, the SHA-256 of the payload Marshal writes (compacted, as
+// the envelope's checksum is defined); under -race this also checks
+// that the bytes are built once, without a race. Each round loads a
+// fresh artifact, so the race detector gets several first uses to see.
+func TestModelsChecksumOnFirstUse(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	h := s.Handler()
+	w := make([]float64, 4096)
+	for round := range 4 {
+		for i := range w {
+			w[i] = math.Sin(float64(i+round)) / 3
+		}
+		a, err := model.Encode(&linear.Regression{W: slices.Clone(w), B: 1}, model.Meta{Name: "m"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Load("m", a); err != nil {
+			t.Fatal(err)
+		}
+		checksumsOnFirstUse(t, h, a)
+	}
+}
+
+// checksumsOnFirstUse races 8 GET /models calls against 8 Marshal calls
+// on a, the one model h serves, and checks every checksum they see.
+func checksumsOnFirstUse(t *testing.T, h http.Handler, a *model.Artifact) {
+	t.Helper()
+	const callers = 8
+	sums := make(chan string, 2*callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for range callers {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/models", nil))
+			var infos []ModelInfo
+			if err := json.Unmarshal(rec.Body.Bytes(), &infos); err != nil || len(infos) != 1 {
+				t.Errorf("GET /models: %d %q", rec.Code, rec.Body.String())
+				sums <- ""
+				return
+			}
+			sums <- infos[0].Checksum
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			data, err := a.Marshal()
+			var env model.Envelope
+			var compact bytes.Buffer
+			if err == nil {
+				err = json.Unmarshal(data, &env)
+			}
+			if err == nil {
+				err = json.Compact(&compact, env.Payload)
+			}
+			if err != nil {
+				t.Errorf("Marshal: %v", err)
+				sums <- ""
+				return
+			}
+			sum := sha256.Sum256(compact.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != env.Checksum {
+				t.Errorf("Marshal wrote payload_sha256 %s for a payload that hashes to %s", env.Checksum, got)
+			}
+			sums <- env.Checksum
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(sums)
+	want := a.Checksum()
+	for got := range sums {
+		if got != want {
+			t.Errorf("a caller saw checksum %q, want %s", got, want)
+		}
 	}
 }
 

@@ -11,10 +11,11 @@ import (
 )
 
 // BenchmarkIncrementalRefresh measures the loop's economics claim: one
-// streaming refresh — delta new samples folded into the window (rank-1
-// Gram rows via kernel.SlidingGram) plus a warm-started solve — against
-// the cold alternative the batch path would pay: a full O(n²·d) Gram
-// rebuild and a cold solve on the same window.
+// streaming refresh — delta new samples folded into the window (their
+// Gram rows filled as one block by kernel.SlidingGram) plus a
+// warm-started solve — against the cold alternative the batch path
+// would pay: a full O(n²·d) Gram rebuild and a cold solve on the same
+// window.
 func BenchmarkIncrementalRefresh(b *testing.B) {
 	const (
 		dim   = 12

@@ -3,10 +3,10 @@
 // the current one-class model, simulate only the selected few, fold
 // them into a sliding training window, and retrain incrementally —
 // warm-starting the SMO solve from the previous dual weights over a
-// Gram matrix maintained by rank-1 row appends (kernel.SlidingGram) —
-// hot-swapping each refreshed model atomically through the serving
-// registry. A drift detector on the decision-value stream decides when
-// to refresh, instead of a fixed cadence.
+// Gram matrix whose new rows kernel.SlidingGram fills as one block at
+// each refresh — hot-swapping each refreshed model atomically through
+// the serving registry. A drift detector on the decision-value stream
+// decides when to refresh, instead of a fixed cadence.
 //
 // Determinism contract: the whole loop is a pure function of one int64
 // seed. Candidates are drawn, scored, and selected strictly in stream

@@ -3,6 +3,8 @@ package stream
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -73,6 +75,40 @@ func TestLoopDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(stripModel(base), stripModel(res)) {
 			t.Errorf("workers=%d: trajectory diverged\nbase: %+v\n got: %+v",
 				workers, stripModel(base), stripModel(res))
+		}
+	}
+}
+
+// publishedModelsSHA256 pins the models a seed-42 testConfig run
+// publishes: the SHA-256 over each artifact's payload_sha256, in order,
+// each followed by a newline. Building payloads on first use and
+// filling the window's Gram rows at each refresh must not change a byte
+// of what the loop publishes.
+const publishedModelsSHA256 = "072cf09a52841a395b30f9656455945699732ed569ad47c646d69c0d8061c08d"
+
+// TestPublishedModelsPinned: at 1, 2 and 8 workers the loop publishes
+// the same models, byte for byte, as the pinned run. The checksums are
+// read only after the run, so a model that changed after its publish
+// would show here too.
+func TestPublishedModelsPinned(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		defer parallel.SetWorkers(parallel.SetWorkers(workers))
+		cfg := testConfig(t, 42)
+		var published []*model.Artifact
+		cfg.Publish = func(a *model.Artifact) error {
+			published = append(published, a)
+			return nil
+		}
+		if _, err := Run(context.Background(), cfg); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		h := sha256.New()
+		for _, a := range published {
+			fmt.Fprintln(h, a.Checksum())
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != publishedModelsSHA256 {
+			t.Errorf("workers=%d: %d published models hash to %s, want %s",
+				workers, len(published), got, publishedModelsSHA256)
 		}
 	}
 }

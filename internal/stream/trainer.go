@@ -10,11 +10,13 @@ import (
 )
 
 // Trainer is the incremental retraining half of the loop: a sliding
-// window whose Gram matrix is maintained by kernel.SlidingGram (one
-// kernel row per append, O(1) eviction) and a warm-started ν-one-class
-// solve that resumes from the previous window's dual weights. A refresh
-// therefore costs one solve from a near-optimal start instead of an
-// O(n²·d) Gram rebuild plus a cold solve — the incremental-vs-cold gap
+// window whose Gram matrix is maintained by kernel.SlidingGram (Add
+// stores the sample, O(1) eviction, and the refresh's first column read
+// fills the kernel rows of every sample added since, as one block) and
+// a warm-started ν-one-class solve that resumes from the previous
+// window's dual weights. A refresh therefore costs the new rows and one
+// solve from a near-optimal start instead of an O(n²·d) Gram rebuild
+// plus a cold solve — the incremental-vs-cold gap
 // BenchmarkIncrementalRefresh measures.
 //
 // The solve reads the window through SlidingGram.Col under the

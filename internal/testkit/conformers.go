@@ -156,7 +156,7 @@ func registerOneClass() {
 }
 
 // registerStreamIncremental pins the streaming trainer (sliding window,
-// rank-1 Gram maintenance, warm-started refreshes — see internal/stream)
+// incremental Gram rows, warm-started refreshes — see internal/stream)
 // to the same contracts as the batch learners: the replayed FitWindow is
 // deterministic (RefitIdentity/Exact), its final model satisfies the
 // ν-one-class dual constraints, and — the warm-start correctness guard —

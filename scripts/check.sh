@@ -93,13 +93,14 @@ sweep ./internal/isa/ 'TestStressPureFunctionOfSeed'
 # linalg.StepScan (each pair step fused with the next selection), both
 # four lanes at a time in AVX2 assembly where the init self-check
 # passes, and must match its element-accessor reference bit for bit,
-# and the loop's trajectory must not move, at every pool width: the
-# width moves SlidingGram.Append across its serial/parallel cutover.
-# The kernel-rows sweep below covers the sliding Gram's own tests.
+# and the loop's trajectory and the models it publishes must not move,
+# at every pool width: the width moves the block fill that the solve's
+# first Col read triggers across its serial/parallel cutover. The
+# kernel-rows sweep below covers the sliding Gram's own tests.
 echo "== one-class solver bit identity at 1/2/8 workers (race) =="
 sweep ./internal/linalg/ 'TestAXPY4MatchesAXPY|TestStepScanMatchesTwoPasses'
 sweep ./internal/svm/ 'TestSolveOneClassMatchesReference'
-sweep ./internal/stream/ 'TestLoopDeterminism|TestWarmStartMatchesColdDecision'
+sweep ./internal/stream/ 'TestLoopDeterminism|TestWarmStartMatchesColdDecision|TestPublishedModelsPinned'
 
 # Every kernel row goes through kernel.EvalRows (for RBF, squared
 # distances in linalg.Dist2Rows, then exps in linalg.ExpScaled, both
@@ -107,9 +108,10 @@ sweep ./internal/stream/ 'TestLoopDeterminism|TestWarmStartMatchesColdDecision'
 # passes), and every value, expansion and Gram built on it must match
 # its per-cell reference bit for bit at every pool width, with the
 # assembly on and off (and off under GODEBUG=cpu.fma=off): the width
-# moves gramRange, crossGramRange and SlidingGram's appendRange across
+# moves gramRange, crossGramRange and SlidingGram's fillRange across
 # their serial/parallel cutovers, moves the Gram mirror's tiles, and
-# moves where appendRange's chunks meet the ring's wrap.
+# moves where fillRange's chunks of older samples and its tiles of
+# pending rows meet the ring's wrap, at every read cadence.
 echo "== kernel rows bit identity at 1/2/8 workers (race) =="
 sweep ./internal/linalg/ \
 	'TestDist2RowsMatchesDist2|TestExpScaledMatchesExp|TestExpScaledEdges|TestExpScaledLengths|TestExpScaledUnderflowInLanes|TestSIMDOffWithoutFMA'
@@ -118,10 +120,11 @@ sweep ./internal/kernel/ \
 sweep ./internal/svm/ 'TestExpandMatchesLoop'
 
 # With AVX2 off the Go loops run in place of every assembly body, and
-# the solver, the loop's trajectory and the exps must come out the same.
+# the solver, the loop's trajectory, its published models and the exps
+# must come out the same.
 echo "== solver, loop and exp edges under GODEBUG=cpu.avx2=off (race) =="
 GODEBUG=cpu.avx2=off "$GO" test -race -count=1 -run 'TestSolveOneClassMatchesReference' ./internal/svm/
-GODEBUG=cpu.avx2=off "$GO" test -race -count=1 -run 'TestLoopDeterminism' ./internal/stream/
+GODEBUG=cpu.avx2=off "$GO" test -race -count=1 -run 'TestLoopDeterminism|TestPublishedModelsPinned' ./internal/stream/
 GODEBUG=cpu.avx2=off "$GO" test -race -count=1 -run 'TestExpScaledEdges' ./internal/linalg/
 
 # Allocation floors run WITHOUT -race: the race detector instruments
